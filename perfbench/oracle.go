@@ -19,13 +19,16 @@ type querySet struct {
 	want  []bool
 }
 
-// passes is what repeated Oracle.ReachableBatch passes measured.
+// passes is what repeated Oracle.ReachableBatch passes measured. Pass
+// and call times are scaled by the calibration kernel (calib.go).
 type passes struct {
-	passNs   map[string][]float64 // set name → ns per whole pass
+	passNs   map[string][]float64 // set name → scaled ns per whole pass
+	rawNs    map[string][]float64 // set name → unscaled ns per whole pass
 	setLen   map[string]int
-	batchLat []float64 // ns per full 512-pair call
+	batchLat []float64 // scaled ns per full 512-pair call
 	queries  int64
-	busy     time.Duration // summed call time
+	busy     time.Duration // summed unscaled call time
+	calib    []float64     // the kernel's run times, ns
 	out      outcome
 }
 
@@ -48,19 +51,22 @@ func (p *passes) pairsPerSec() float64 {
 
 // runPasses alternates passes over sets until d of wall time has elapsed
 // (and at least one pass over each). Every pass answers its set in
-// 512-pair Oracle.ReachableBatch calls, each timed in thread CPU time;
-// each call is one operation, checked against the BFS answers outside
-// the timed call. With rec on, each call is also a span.
+// 512-pair Oracle.ReachableBatch calls, each timed in thread CPU time
+// and scaled by the calibration runs before and after its pass; each
+// call is one operation, checked against the BFS answers outside the
+// timed call. With rec on, each call is also a span.
 func runPasses(o *reach.Oracle, sets []querySet, d time.Duration, rec *recorder) *passes {
 	runtime.LockOSThread()
 	defer runtime.UnlockOSThread()
-	p := &passes{passNs: map[string][]float64{}, setLen: map[string]int{}}
+	p := &passes{passNs: map[string][]float64{}, rawNs: map[string][]float64{}, setLen: map[string]int{}}
 	out := make([]bool, batchPairs)
+	cal := newCalibrator()
 	deadline := time.Now().Add(d)
 	for pass := 0; pass == 0 || time.Now().Before(deadline); pass++ {
 		for _, qs := range sets {
 			trace := qs.name + strconv.Itoa(pass)
 			var sum time.Duration
+			first := len(p.batchLat)
 			for lo := 0; lo < len(qs.pairs); lo += batchPairs {
 				hi := min(lo+batchPairs, len(qs.pairs))
 				w0, c0 := time.Now(), threadCPU()
@@ -74,12 +80,18 @@ func runPasses(o *reach.Oracle, sets []querySet, d time.Duration, rec *recorder)
 				}
 				p.out.add(outcome{1, b2i(!equalBools(res, qs.want[lo:hi]))})
 			}
-			p.passNs[qs.name] = append(p.passNs[qs.name], float64(sum))
+			f := cal.scale()
+			for i := first; i < len(p.batchLat); i++ {
+				p.batchLat[i] *= f
+			}
+			p.passNs[qs.name] = append(p.passNs[qs.name], float64(sum)*f)
+			p.rawNs[qs.name] = append(p.rawNs[qs.name], float64(sum))
 			p.setLen[qs.name] = len(qs.pairs)
 			p.queries += int64(len(qs.pairs))
 			p.busy += sum
 		}
 	}
+	p.calib = cal.runs
 	return p
 }
 
@@ -95,14 +107,16 @@ func equalBools(a, b []bool) bool {
 	return true
 }
 
-// singles is what one-at-a-time Oracle.Reachable calls measured.
+// singles is what one-at-a-time Oracle.Reachable calls measured, in
+// thread CPU time scaled by the calibration kernel (calib.go).
 type singles struct {
-	lat []float64       // CPU ns per call, averaged over a group of singleGroup calls
-	end []time.Duration // CPU time at each group's end since the phase began
+	lat []float64       // ns per call, averaged over a group of singleGroup calls
+	end []time.Duration // summed call time at each group's end
 	out outcome
 }
 
-// perSec is calls per CPU second, the median over windows of CPU time.
+// perSec is calls per scaled CPU second, the median over windows of
+// scaled call time.
 func (s *singles) perSec() float64 {
 	if len(s.end) == 0 {
 		return 0
@@ -112,7 +126,12 @@ func (s *singles) perSec() float64 {
 
 // singleGroup consecutive calls share one clock reading: a call takes a
 // few hundred nanoseconds, less than reading the thread CPU clock costs.
-const singleGroup = 64
+// The calibration kernel runs after every singleSegment groups (≈10 ms
+// of calls) and scales the groups between its runs.
+const (
+	singleGroup   = 64
+	singleSegment = 1024
+)
 
 // runSingles calls Oracle.Reachable on the sets' pairs, interleaved, one
 // call at a time, until d of wall time has elapsed.
@@ -121,20 +140,29 @@ func runSingles(o *reach.Oracle, sets []querySet, d time.Duration) *singles {
 	defer runtime.UnlockOSThread()
 	s := &singles{}
 	var got [singleGroup]bool
+	cal := newCalibrator()
+	var busy time.Duration // scaled call time so far
+	seg := make([]float64, 0, singleSegment)
 	deadline := time.Now().Add(d)
-	start := threadCPU()
-	for i := 0; time.Now().Before(deadline); i += singleGroup {
-		c0 := threadCPU()
-		for j := 0; j < singleGroup; j++ {
-			qs, k := singleAt(sets, i+j)
-			got[j] = o.Reachable(qs.pairs[k][0], qs.pairs[k][1])
+	for i := 0; time.Now().Before(deadline); {
+		seg = seg[:0]
+		for g := 0; g < singleSegment; g, i = g+1, i+singleGroup {
+			c0 := threadCPU()
+			for j := 0; j < singleGroup; j++ {
+				qs, k := singleAt(sets, i+j)
+				got[j] = o.Reachable(qs.pairs[k][0], qs.pairs[k][1])
+			}
+			seg = append(seg, float64(threadCPU()-c0))
+			for j := 0; j < singleGroup; j++ {
+				qs, k := singleAt(sets, i+j)
+				s.out.add(outcome{1, b2i(got[j] != qs.want[k])})
+			}
 		}
-		c1 := threadCPU()
-		s.lat = append(s.lat, float64(c1-c0)/singleGroup)
-		s.end = append(s.end, c1-start)
-		for j := 0; j < singleGroup; j++ {
-			qs, k := singleAt(sets, i+j)
-			s.out.add(outcome{1, b2i(got[j] != qs.want[k])})
+		f := cal.scale()
+		for _, ns := range seg {
+			busy += time.Duration(ns * f)
+			s.lat = append(s.lat, ns*f/singleGroup)
+			s.end = append(s.end, busy)
 		}
 	}
 	return s

@@ -26,6 +26,15 @@ func median(xs []float64) float64 {
 	return quantile(append([]float64(nil), xs...), 0.5)
 }
 
+// mean is the arithmetic mean of xs; an empty input yields NaN.
+func mean(xs []float64) float64 {
+	var sum float64
+	for _, x := range xs {
+		sum += x
+	}
+	return sum / float64(len(xs))
+}
+
 // tail reports a latency distribution the way the benchmark publishes
 // it: the median, the 90th percentile and how many samples back them.
 type tail struct {

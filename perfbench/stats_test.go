@@ -96,6 +96,37 @@ func TestNsPerQueryIsMedianPassOverSetSize(t *testing.T) {
 	}
 }
 
+func TestCalibScaleIsReferenceOverBracketMean(t *testing.T) {
+	ref := time.Duration(calibRef)
+	if got := calibScale(ref, ref); got != 1 {
+		t.Errorf("calibScale at the reference speed = %v, want 1", got)
+	}
+	// The host ran the kernel 1.5x and 2.5x slower around a pass: its
+	// timings are halved back to the reference speed.
+	if got := calibScale(ref*3/2, ref*5/2); got != 0.5 {
+		t.Errorf("calibScale of a host twice as slow = %v, want 0.5", got)
+	}
+}
+
+func TestCalibratorWalksOneCycle(t *testing.T) {
+	c := newCalibrator()
+	seen := make([]bool, calibWords)
+	j := uint32(0)
+	for k := 0; k < calibWords; k++ {
+		if seen[j] {
+			t.Fatalf("walk returned to %d after %d steps, want one cycle of %d", j, k, calibWords)
+		}
+		seen[j] = true
+		j = c.next[j]
+	}
+	if j != 0 {
+		t.Errorf("walk ended at %d after %d steps, want back at 0", j, calibWords)
+	}
+	if f := c.scale(); !(f > 0) || len(c.runs) != 2 {
+		t.Errorf("scale = %v after %d runs, want a positive factor after 2", f, len(c.runs))
+	}
+}
+
 func TestWindowRateIsMedianOfWindows(t *testing.T) {
 	ms := time.Millisecond
 	// Windows of 100ms over 300ms: 2, 5 and 1 completions.

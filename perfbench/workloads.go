@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"runtime"
 	rtmetrics "runtime/metrics"
 	"sync"
@@ -44,10 +46,68 @@ func paperQuerySets(r *run) ([]querySet, error) {
 	}, nil
 }
 
-// setPaperMetrics publishes per-query times from passes.
-func setPaperMetrics(m metrics, p *passes) {
-	m.set("equal_ns_per_query", nsPerQuery(p.passNs["equal"], paperQueries))
-	m.set("random_ns_per_query", nsPerQuery(p.passNs["random"], paperQueries))
+// setPaperMetrics counts the outcomes of passes on one or more oracles
+// and publishes their per-query times: the mean over oracles of each
+// one's median pass. It notes them unscaled next to the calibration
+// kernel's time.
+func (r *run) setPaperMetrics(ps []*passes) {
+	var calib []float64
+	for _, p := range ps {
+		r.out.add(p.out)
+		calib = append(calib, p.calib...)
+	}
+	for _, name := range []string{"equal", "random"} {
+		var scaled, raw []float64
+		n := 0
+		for _, p := range ps {
+			scaled = append(scaled, nsPerQuery(p.passNs[name], paperQueries))
+			raw = append(raw, nsPerQuery(p.rawNs[name], paperQueries))
+			n += len(p.passNs[name])
+		}
+		r.m.set(name+"_ns_per_query", mean(scaled))
+		r.notef("passes: %d over %s on %d oracles, unscaled %.2f ns/query (per oracle %.1f)", n, name, len(ps), mean(raw), raw)
+	}
+	r.notef("calibration: kernel median %.4f ms over %d runs, reference %.4f ms", median(calib)/1e6, len(calib), calibRef/1e6)
+}
+
+// loadSamples is how many fresh mmap loads mixed-zipf's passes are
+// spread over. The page cache lays each newly written snapshot out
+// differently, and in trials some loads answered the paper's sets up to
+// 25% faster than others, while heap-built oracles and repeated passes
+// on one load did not vary so: with one load per run, the workload's
+// ns/query was bimodal between runs.
+const loadSamples = 8
+
+// passesOnLoads runs passes over sets for d in all, split over
+// loadSamples oracles, each mmap-loaded from a snapshot of o written to
+// a file of its own. Each mapping is closed after its passes, so one at
+// a time counts toward the resident set; the files stay until every pass
+// is done, so the page cache does not hand one layout's pages to the
+// next.
+func passesOnLoads(o *reach.Oracle, dir string, sets []querySet, d time.Duration) ([]*passes, error) {
+	var paths []string
+	defer func() {
+		for _, p := range paths {
+			os.Remove(p)
+		}
+	}()
+	var ps []*passes
+	for i := 0; i < loadSamples; i++ {
+		path := filepath.Join(dir, fmt.Sprintf("passes-%d.snap", i))
+		paths = append(paths, path)
+		if err := o.SaveFile(path); err != nil {
+			return nil, err
+		}
+		l, err := reach.Load(path)
+		if err != nil {
+			return nil, err
+		}
+		ps = append(ps, runPasses(l, sets, d/loadSamples, nil))
+		if err := l.Close(); err != nil {
+			return nil, err
+		}
+	}
+	return ps, nil
 }
 
 // runOraclePaper is the paper's own measurement: repeated passes of
@@ -72,15 +132,15 @@ func runOraclePaper(r *run) error {
 		setups = append(setups, time.Since(t0).Seconds())
 	}
 	r.m.set("setup_s", median(setups))
+	r.notef("setup: %.3f s", setups)
 	r.m.set("index_ints", float64(o.IndexSizeInts()))
 	d := time.Duration(r.seconds * float64(time.Second))
 
 	if !r.traced {
 		p := runPasses(o, sets, d*8/10, nil)
 		s := runSingles(o, sets, d*2/10)
-		r.out.add(p.out)
 		r.out.add(s.out)
-		setPaperMetrics(r.m, p)
+		r.setPaperMetrics([]*passes{p})
 		bt, st := summarize(p.batchLat), summarize(s.lat)
 		r.m.set("pairs_per_s", p.pairsPerSec())
 		r.m.set("batch_p50_ms", bt.P50/1e6)
@@ -208,15 +268,15 @@ func prefill(st *stack, streams []querySet) outcome {
 var routedClients = clients{batch: 1, single: 1}
 
 // runRouted drives the routed stack closed-loop with routedClients, then
-// runs passes over the paper sets on replica 0's mmap-loaded oracle while
-// the fleet idles.
+// runs passes over the paper sets on fresh mmap loads of its snapshot
+// while the fleet idles.
 func runRouted(r *run) error {
 	in, err := routedPools(r)
 	if err != nil {
 		return err
 	}
 	var st *stack
-	var setups []float64
+	var setups, builds, saves, loads, enrolls []float64
 	for i := 0; i < setupRepeats; i++ {
 		if st != nil {
 			st.stop()
@@ -225,9 +285,15 @@ func runRouted(r *run) error {
 			return err
 		}
 		setups = append(setups, st.setup.Seconds())
+		builds = append(builds, st.build.Seconds())
+		saves = append(saves, st.save.Seconds())
+		loads = append(loads, st.load.Seconds())
+		enrolls = append(enrolls, st.enroll.Seconds())
 	}
 	defer st.stop()
 	r.m.set("setup_s", median(setups))
+	r.notef("setup: %.3f s; medians of its stages: build %.3f s, save %.1f ms, load %.1f ms, enroll %.1f ms",
+		setups, median(builds), 1e3*median(saves), 1e3*median(loads), 1e3*median(enrolls))
 	r.m.set("index_ints", float64(st.oracles[0].IndexSizeInts()))
 	r.out.add(prefill(st, in.prefill))
 	in.prefill = nil
@@ -238,7 +304,7 @@ func runRouted(r *run) error {
 	if r.traced {
 		return r.tracedRouted(st, lg, in.sets, d)
 	}
-	ph := lg.run(d*8/10, routedClients, false)
+	ph := lg.run(d*6/10, routedClients, false)
 	r.out.add(ph.out)
 	bt, bw := ph.batchTail()
 	stl, sw := ph.singleTail()
@@ -251,9 +317,11 @@ func runRouted(r *run) error {
 	r.notef("samples: %d batches, %d singles; percentiles over %d and %d windows of %s, each with at least 10 samples beyond its p90",
 		bt.N, stl.N, bw, sw, rateWindow)
 	runtime.GC() // let the load's garbage go before timing the oracle alone
-	p := runPasses(st.oracles[0], in.sets, d*2/10, nil)
-	r.out.add(p.out)
-	setPaperMetrics(r.m, p)
+	ps, err := passesOnLoads(st.oracles[0], r.dir, in.sets, d*4/10)
+	if err != nil {
+		return err
+	}
+	r.setPaperMetrics(ps)
 	return nil
 }
 
