@@ -43,32 +43,121 @@ func TestReachableOutOfRange(t *testing.T) {
 	}
 }
 
+// batchFixture is genFixture's citation DAG with back edges added, so the
+// condensation has multi-vertex SCCs, plus the raw digraph for BFS.
+func batchFixture(t *testing.T) (*Graph, *graph.Graph) {
+	t.Helper()
+	raw := gen.CitationDAG(400, 3, 0.5, 7)
+	var edges [][2]uint32
+	raw.Edges(func(u, v graph.Vertex) bool {
+		edges = append(edges, [2]uint32{uint32(u), uint32(v)})
+		return true
+	})
+	// Close cycles through two-edge paths u -> w -> x with x -> u.
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 12; i++ {
+		e := edges[rng.Intn(len(edges))]
+		if out := raw.Out(graph.Vertex(e[1])); len(out) > 0 {
+			edges = append(edges, [2]uint32{uint32(out[0]), e[0]})
+		}
+	}
+	g, err := NewGraph(raw.NumVertices(), edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := graph.NewBuilder(raw.NumVertices())
+	for _, e := range edges {
+		b.AddEdge(e[0], e[1])
+	}
+	return g, b.MustBuild()
+}
+
+// batchPairs interleaves out-of-range pairs, pairs inside one SCC and
+// random pairs, so every chunk of a staged batch mixes pairs decided
+// before the observers, by them and by the index.
+func batchPairs(g *Graph, count int, seed int64) [][2]uint32 {
+	n := uint32(g.NumVertices())
+	var scc [][2]uint32 // distinct vertices sharing a component
+	for u := uint32(0); u < n; u++ {
+		for v := uint32(0); v < n; v++ {
+			if u != v && g.SameComponent(u, v) {
+				scc = append(scc, [2]uint32{u, v})
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(seed))
+	pairs := make([][2]uint32, count)
+	for i := range pairs {
+		u, v := rng.Uint32()%n, rng.Uint32()%n
+		switch i % 7 {
+		case 1:
+			pairs[i] = [2]uint32{n + uint32(i), v}
+		case 3:
+			pairs[i] = [2]uint32{u, ^uint32(0)}
+		case 5:
+			pairs[i] = scc[rng.Intn(len(scc))]
+		default:
+			pairs[i] = [2]uint32{u, v}
+		}
+	}
+	return pairs
+}
+
 func TestReachableBatch(t *testing.T) {
-	g := genFixture(t)
+	g, raw := batchFixture(t)
+	if g.DAGVertices() == g.NumVertices() {
+		t.Fatal("fixture has no multi-vertex SCC")
+	}
+	n := uint32(g.NumVertices())
+	pairs := batchPairs(g, 513, 11)
+	vst := graph.NewVisitor(raw.NumVertices())
+	want := make([]bool, len(pairs))
+	for i, p := range pairs {
+		want[i] = p[0] < n && p[1] < n && vst.Reachable(raw, p[0], p[1])
+	}
+	for _, m := range Methods() {
+		for _, observers := range []bool{true, false} {
+			o, err := Build(g, m, Options{NoObservers: !observers})
+			if err != nil {
+				t.Fatalf("%s: %v", m, err)
+			}
+			for _, size := range []int{0, 1, 63, 64, 65, 512, 513} {
+				got := o.ReachableBatch(pairs[:size], nil)
+				if len(got) != size {
+					t.Fatalf("%s observers=%v: batch of %d returned %d results", m, observers, size, len(got))
+				}
+				for i, p := range pairs[:size] {
+					if got[i] != want[i] {
+						t.Fatalf("%s observers=%v size %d: pair %d (%d, %d) = %v, BFS says %v",
+							m, observers, size, i, p[0], p[1], got[i], want[i])
+					}
+					if r := o.Reachable(p[0], p[1]); r != want[i] {
+						t.Fatalf("%s observers=%v: Reachable(%d, %d) = %v, BFS says %v", m, observers, p[0], p[1], r, want[i])
+					}
+				}
+			}
+			// Reusing a caller-provided slice must not allocate a new one.
+			buf := make([]bool, len(pairs))
+			if got := o.ReachableBatch(pairs, buf); &got[0] != &buf[0] {
+				t.Errorf("%s: ReachableBatch did not reuse the provided output slice", m)
+			}
+		}
+	}
+}
+
+// TestReachableBatchZeroAlloc pins the //reach:hotpath contract of the
+// staged batch kernel: with a caller-supplied out slice, a DL batch
+// allocates nothing.
+func TestReachableBatchZeroAlloc(t *testing.T) {
+	g, _ := batchFixture(t)
 	o, err := Build(g, MethodDL, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(11))
-	pairs := make([][2]uint32, 500)
-	n := uint32(g.NumVertices())
-	for i := range pairs {
-		pairs[i] = [2]uint32{rng.Uint32() % n, rng.Uint32() % n}
-	}
-	pairs = append(pairs, [2]uint32{n + 5, 0}) // out of range rides along
-	got := o.ReachableBatch(pairs, nil)
-	if len(got) != len(pairs) {
-		t.Fatalf("batch returned %d results for %d pairs", len(got), len(pairs))
-	}
-	for i, p := range pairs {
-		if got[i] != o.Reachable(p[0], p[1]) {
-			t.Fatalf("batch result %d disagrees with Reachable(%d, %d)", i, p[0], p[1])
-		}
-	}
-	// Reusing a caller-provided slice must not allocate a new one.
-	buf := make([]bool, len(pairs))
-	if got2 := o.ReachableBatch(pairs, buf); &got2[0] != &buf[0] {
-		t.Error("ReachableBatch did not reuse the provided output slice")
+	pairs := batchPairs(g, 513, 13)
+	out := make([]bool, len(pairs))
+	if allocs := testing.AllocsPerRun(100, func() { o.ReachableBatch(pairs, out) }); allocs != 0 {
+		t.Fatalf("DL ReachableBatch allocated %v times per call with a caller-supplied out", allocs)
 	}
 }
 

@@ -1,13 +1,17 @@
 package core
 
 import (
+	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/blockio"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/hoplabel"
+	"repro/internal/index"
 	"repro/internal/order"
 	"repro/internal/tc"
 )
@@ -239,6 +243,74 @@ func TestDLDeterministic(t *testing.T) {
 				t.Fatal("labels differ between runs")
 			}
 		}
+	}
+}
+
+// TestDLTopologicalKeys pins the key order the query's early stop relies
+// on: DL labels are strictly ascending topological positions, Lout(u)
+// starts at u's own position and Lin(v) ends at v's.
+func TestDLTopologicalKeys(t *testing.T) {
+	for name, g := range families(29) {
+		dl, err := BuildDL(g, DLOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := dl.Labeling()
+		topo := order.PositionOf(order.ByStrategy(g, order.Topo, 0))
+		for v := 0; v < g.NumVertices(); v++ {
+			out, in := l.Out(uint32(v)), l.In(uint32(v))
+			for _, lab := range [][]uint32{out, in} {
+				for i := 1; i < len(lab); i++ {
+					if lab[i-1] >= lab[i] {
+						t.Fatalf("%s: label of %d not strictly ascending: %v", name, v, lab)
+					}
+				}
+			}
+			if len(out) == 0 || out[0] != uint32(topo[v]) {
+				t.Fatalf("%s: Lout(%d) = %v does not start at its topological position %d", name, v, out, topo[v])
+			}
+			if len(in) == 0 || in[len(in)-1] != uint32(topo[v]) {
+				t.Fatalf("%s: Lin(%d) = %v does not end at its topological position %d", name, v, in, topo[v])
+			}
+		}
+	}
+}
+
+// TestDLRankKeyedLabels covers DL snapshots written before labels were
+// keyed by topological position: rank-keyed labels round-trip through
+// the DL codec and answer every pair correctly.
+func TestDLRankKeyedLabels(t *testing.T) {
+	d, ok := index.Get("DL")
+	if !ok {
+		t.Fatal("DL not registered")
+	}
+	for name, g := range families(31) {
+		ord := order.ByDegreeProduct(g)
+		pos := order.PositionOf(ord)
+		old := &DL{labeling: distribute(g, ord, pos).Freeze(), pos: pos}
+		cur, err := BuildDL(g, DLOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if old.SizeInts() != cur.SizeInts() {
+			t.Fatalf("%s: topological keys changed the label size: %d -> %d", name, old.SizeInts(), cur.SizeInts())
+		}
+		differ := false
+		for v := uint32(0); v < uint32(g.NumVertices()); v++ {
+			differ = differ || !slices.Equal(old.labeling.Out(v), cur.labeling.Out(v))
+		}
+		if !differ {
+			t.Fatalf("%s: rank and topological keys give the same labels", name)
+		}
+		var buf bytes.Buffer
+		if err := d.Encode(old, blockio.NewWriter(&buf)); err != nil {
+			t.Fatal(err)
+		}
+		idx, err := d.Decode(g, blockio.NewSliceReader(buf.Bytes()), index.BuildOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkExhaustive(t, name+"/rank-keyed", g, idx.(*DL))
 	}
 }
 

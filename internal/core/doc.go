@@ -15,7 +15,9 @@
 //     Formulas 4 and 5 (Algorithm 1).
 //
 // Both produce a hoplabel.Labeling: u reaches v iff Lout(u) ∩ Lin(v) ≠ ∅,
-// answered by sorted-merge intersection. Construction never materializes a
+// answered by sorted-merge intersection. DL distributes hops in rank order
+// but records each hop as its topological position, so a query's merge
+// stops at the target's position (see DL). Construction never materializes a
 // transitive closure — the property that makes these algorithms scale where
 // classic set-cover 2-hop labeling does not.
 package core

@@ -71,7 +71,7 @@ func BuildHL(g *graph.Graph, opts HLOptions) (*HL, error) {
 	coreLv := hier.Core()
 	if coreLv.G.NumVertices() > 0 {
 		coreOrder := order.ByDegreeProduct(coreLv.G)
-		coreBuilder, _ := distribute(coreLv.G, coreOrder)
+		coreBuilder := distribute(coreLv.G, coreOrder, order.PositionOf(coreOrder))
 		rankToOrig := make([]uint32, len(coreOrder))
 		for rank, local := range coreOrder {
 			rankToOrig[rank] = uint32(coreLv.ToOrig[local])

@@ -9,13 +9,7 @@
 // CSR arrays and the query is a merge intersection with early exit.
 package hoplabel
 
-import (
-	"bufio"
-	"encoding/binary"
-	"fmt"
-	"io"
-	"slices"
-)
+import "slices"
 
 // Labeling is an immutable, complete 2-hop reachability labeling.
 type Labeling struct {
@@ -44,22 +38,60 @@ func (l *Labeling) Reachable(u, v uint32) bool {
 	return IntersectsSorted(l.Out(u), l.In(v))
 }
 
+// Probe is one query's pair of labels, Lout(u) and Lin(v), resolved ahead
+// of the merge that intersects them, with each label's first entry
+// already loaded. A batch kernel resolves the probes of many queries
+// before merging any, so their cache misses overlap instead of each one
+// waiting behind the previous query's merge.
+type Probe struct {
+	out, in []uint32
+	x, y    uint32 // out[0] and in[0] when both labels are non-empty
+}
+
+// Resolve looks up Lout(u) and Lin(v) and loads their first entries.
+func (l *Labeling) Resolve(u, v uint32) Probe {
+	p := Probe{out: l.Out(u), in: l.In(v)}
+	if len(p.out) > 0 && len(p.in) > 0 {
+		p.x, p.y = p.out[0], p.in[0]
+	}
+	return p
+}
+
+// Intersects reports whether the probe's two labels share a hop.
+//
+//reach:hotpath
+func (p *Probe) Intersects() bool {
+	return len(p.out) > 0 && len(p.in) > 0 && intersectsFrom(p.out, p.in, p.x, p.y)
+}
+
 // IntersectsSorted reports whether two ascending slices share an element.
 //
 //reach:hotpath
 func IntersectsSorted(a, b []uint32) bool {
+	return len(a) > 0 && len(b) > 0 && intersectsFrom(a, b, a[0], b[0])
+}
+
+// intersectsFrom is the merge behind every label intersection, started
+// from the already-loaded first keys x = a[0] and y = b[0] of two
+// non-empty slices. The step is branch-free: s is the sign bit of x−y,
+// so the smaller side advances without a data-dependent branch to
+// mispredict. The loop ends at the first common key or when either side
+// runs out, so with topologically keyed labels — Lin(v) ends at v's own
+// position — it stops once Lout(u) passes v.
+//
+//reach:hotpath
+func intersectsFrom(a, b []uint32, x, y uint32) bool {
 	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			return true
+	for x != y {
+		s := int(uint64(int64(x)-int64(y)) >> 63) // 1 when x < y
+		i += s
+		j += 1 - s
+		if i >= len(a) || j >= len(b) {
+			return false
 		}
+		x, y = a[i], b[j]
 	}
-	return false
+	return true
 }
 
 // SizeInts returns the total label size Σ(|Lout(v)| + |Lin(v)|) in 32-bit
@@ -163,73 +195,4 @@ func sortDedup(s []uint32) []uint32 {
 		}
 	}
 	return s[:w]
-}
-
-// labelMagic identifies the serialized labeling format.
-const labelMagic = "RHL1"
-
-// Write serializes the labeling (little-endian: magic, n, out CSR, in CSR).
-func (l *Labeling) Write(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(labelMagic); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, uint64(l.n)); err != nil {
-		return err
-	}
-	for _, arr := range [][]uint32{l.outOff, l.out, l.inOff, l.in} {
-		if err := binary.Write(bw, binary.LittleEndian, uint64(len(arr))); err != nil {
-			return err
-		}
-		if err := binary.Write(bw, binary.LittleEndian, arr); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// Read deserializes a labeling written by Write.
-func Read(r io.Reader) (*Labeling, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(labelMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("hoplabel: reading magic: %w", err)
-	}
-	if string(magic) != labelMagic {
-		return nil, fmt.Errorf("hoplabel: bad magic %q", magic)
-	}
-	var n uint64
-	if err := binary.Read(br, binary.LittleEndian, &n); err != nil {
-		return nil, err
-	}
-	if n > 1<<31 {
-		return nil, fmt.Errorf("hoplabel: implausible vertex count %d", n)
-	}
-	l := &Labeling{n: int(n)}
-	arrays := []*[]uint32{&l.outOff, &l.out, &l.inOff, &l.in}
-	for _, dst := range arrays {
-		var ln uint64
-		if err := binary.Read(br, binary.LittleEndian, &ln); err != nil {
-			return nil, err
-		}
-		if ln > 1<<33 {
-			return nil, fmt.Errorf("hoplabel: implausible array length %d", ln)
-		}
-		*dst = make([]uint32, ln)
-		if err := binary.Read(br, binary.LittleEndian, *dst); err != nil {
-			return nil, err
-		}
-	}
-	if len(l.outOff) != int(n)+1 || len(l.inOff) != int(n)+1 {
-		return nil, fmt.Errorf("hoplabel: offset arrays inconsistent with n=%d", n)
-	}
-	for v := 0; v < l.n; v++ {
-		if l.outOff[v] > l.outOff[v+1] || l.inOff[v] > l.inOff[v+1] {
-			return nil, fmt.Errorf("hoplabel: offsets not monotone at %d", v)
-		}
-	}
-	if int(l.outOff[l.n]) != len(l.out) || int(l.inOff[l.n]) != len(l.in) {
-		return nil, fmt.Errorf("hoplabel: offsets do not cover label arrays")
-	}
-	return l, nil
 }

@@ -1,10 +1,8 @@
 package hoplabel
 
 import (
-	"bytes"
 	"math/rand"
 	"reflect"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -103,46 +101,8 @@ func TestSetOutSetIn(t *testing.T) {
 	}
 }
 
-func TestSerializationRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	b := NewBuilder(50)
-	for v := uint32(0); v < 50; v++ {
-		for k := 0; k < rng.Intn(8); k++ {
-			b.AddOut(v, uint32(rng.Intn(50)))
-		}
-		for k := 0; k < rng.Intn(8); k++ {
-			b.AddIn(v, uint32(rng.Intn(50)))
-		}
-	}
-	l := b.Freeze()
-	var buf bytes.Buffer
-	if err := l.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	l2, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l2.NumVertices() != l.NumVertices() || l2.SizeInts() != l.SizeInts() {
-		t.Fatal("round trip changed sizes")
-	}
-	for v := uint32(0); v < 50; v++ {
-		if !reflect.DeepEqual(l.Out(v), l2.Out(v)) || !reflect.DeepEqual(l.In(v), l2.In(v)) {
-			t.Fatalf("labels differ at vertex %d", v)
-		}
-	}
-}
-
-func TestReadRejectsGarbage(t *testing.T) {
-	if _, err := Read(strings.NewReader("garbage everywhere")); err == nil {
-		t.Fatal("garbage accepted")
-	}
-	if _, err := Read(strings.NewReader("")); err == nil {
-		t.Fatal("empty input accepted")
-	}
-}
-
-// Property: IntersectsSorted agrees with a map-based intersection test.
+// Property: IntersectsSorted, and a Probe resolved from a labeling holding
+// the same two lists, agree with a map-based intersection test.
 func TestIntersectsProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -171,7 +131,11 @@ func TestIntersectsProperty(t *testing.T) {
 				break
 			}
 		}
-		return IntersectsSorted(a, b) == want
+		lb := NewBuilder(2)
+		lb.SetOut(0, a)
+		lb.SetIn(1, b)
+		p := lb.Freeze().Resolve(0, 1)
+		return IntersectsSorted(a, b) == want && p.Intersects() == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)

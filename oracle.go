@@ -118,6 +118,9 @@ type Oracle struct {
 	// when disabled. Atomic so DisableObservers is safe against
 	// in-flight queries.
 	obs atomic.Pointer[observe.Stack]
+	// labels is the index's hop labeling when it answers by one, else
+	// nil; ReachableBatch probes it directly.
+	labels *hoplabel.Labeling
 	// loaded records that the index came from a snapshot rather than a
 	// build; surfaced by /v1/stats.
 	loaded bool
@@ -137,7 +140,7 @@ func Build(g *Graph, m Method, opts Options) (*Oracle, error) {
 	if err != nil {
 		return nil, err
 	}
-	o := &Oracle{g: g, idx: idx, opts: bopts}
+	o := &Oracle{g: g, idx: idx, labels: labelsOf(idx), opts: bopts}
 	if !opts.NoObservers {
 		o.obs.Store(observe.Build(g.dag, observe.Config{}))
 	}
@@ -159,36 +162,94 @@ func Methods() []Method {
 // Out-of-range vertex IDs are never reachable (and never reach anything),
 // so they answer false rather than panicking.
 func (o *Oracle) Reachable(u, v uint32) bool {
-	n := uint32(o.g.originalN)
-	if u >= n || v >= n {
-		return false
+	cu, cv, verdict := o.decide(o.obs.Load(), u, v)
+	if verdict != observe.Unknown {
+		return verdict == observe.Positive
 	}
-	cu, cv := o.g.comp[u], o.g.comp[v]
-	if cu == cv {
-		return true // same SCC (or same vertex)
-	}
-	if st := o.obs.Load(); st != nil {
-		if verdict := st.Query(uint32(cu), uint32(cv)); verdict != observe.Unknown {
-			return verdict == observe.Positive
-		}
-	}
-	return o.idx.Reachable(uint32(cu), uint32(cv))
+	return o.idx.Reachable(cu, cv)
 }
+
+// decide answers what a query can answer without the index, in order: the
+// range check, the same-SCC check, then the observers (st, nil when they
+// are off). Unknown means the index must probe components cu and cv.
+func (o *Oracle) decide(st *observe.Stack, u, v uint32) (cu, cv uint32, verdict observe.Verdict) {
+	comp := o.g.comp // one entry per original vertex
+	if u >= uint32(len(comp)) || v >= uint32(len(comp)) {
+		return 0, 0, observe.Negative
+	}
+	cu, cv = comp[u], comp[v]
+	switch {
+	case cu == cv:
+		verdict = observe.Positive // same SCC (or same vertex)
+	case st != nil:
+		verdict = st.Query(cu, cv)
+	default:
+		verdict = observe.Unknown
+	}
+	return cu, cv, verdict
+}
+
+// batchChunk is how many pairs ReachableBatch stages at once: enough
+// independent label lookups in flight to overlap their cache misses, few
+// enough that the chunk's scratch stays on the stack.
+const batchChunk = 64
 
 // ReachableBatch answers many queries in one call: out[i] reports whether
 // pairs[i][0] reaches pairs[i][1]. If out is non-nil and long enough it is
 // filled and returned without allocating; otherwise a new slice is
 // returned. Like Reachable it is safe for concurrent use, so callers may
 // split a large batch across goroutines, each with its own out slice.
+//
+// Answers equal Reachable's, but each chunk of batchChunk pairs runs in
+// stages (see reachableChunk) rather than one pair after another.
 func (o *Oracle) ReachableBatch(pairs [][2]uint32, out []bool) []bool {
 	if cap(out) < len(pairs) {
 		out = make([]bool, len(pairs))
 	}
 	out = out[:len(pairs)]
-	for i, p := range pairs {
-		out[i] = o.Reachable(p[0], p[1])
+	st := o.obs.Load()
+	for lo := 0; lo < len(pairs); lo += batchChunk {
+		hi := min(lo+batchChunk, len(pairs))
+		o.reachableChunk(st, pairs[lo:hi], out[lo:hi])
 	}
 	return out
+}
+
+// reachableChunk answers at most batchChunk pairs in three stages, so the
+// cache misses of different pairs overlap instead of queueing behind one
+// another's mispredicted merges: decide every pair (decide, as Reachable
+// does); then resolve the labels of the undecided ones and load their
+// first entries; then merge them from those entries. Methods without a
+// hop labeling probe the undecided pairs through the index instead.
+//
+//reach:hotpath
+func (o *Oracle) reachableChunk(st *observe.Stack, pairs [][2]uint32, out []bool) {
+	var at [batchChunk]uint8 // index in pairs of each undecided pair
+	var cu, cv [batchChunk]uint32
+	k := 0
+	for i, p := range pairs {
+		a, b, verdict := o.decide(st, p[0], p[1])
+		out[i] = verdict == observe.Positive
+		// Append unconditionally and count only undecided pairs: no
+		// branch on the verdict to mispredict.
+		at[k], cu[k], cv[k] = uint8(i), a, b
+		if verdict == observe.Unknown {
+			k++
+		}
+	}
+	if o.labels == nil {
+		for j := 0; j < k; j++ {
+			out[at[j]] = o.idx.Reachable(cu[j], cv[j])
+		}
+		return
+	}
+	var probes [batchChunk]hoplabel.Probe
+	for j := 0; j < k; j++ {
+		probes[j] = o.labels.Resolve(cu[j], cv[j])
+	}
+	for j := 0; j < k; j++ {
+		out[at[j]] = probes[j].Intersects()
+	}
 }
 
 // Method returns the index method tag (e.g. "DL").
@@ -230,9 +291,18 @@ func (o *Oracle) Close() error {
 	return c()
 }
 
-// labeled is implemented by the hop-labeling indexes (DL, HL, TF, 2HOP).
+// labeled is implemented by the hop-labeling indexes that answer straight
+// from their labeling (DL, HL, 2HOP); TF keeps its HL labeling private.
 type labeled interface {
 	Labeling() *hoplabel.Labeling
+}
+
+// labelsOf returns idx's hop labeling, or nil for methods without one.
+func labelsOf(idx index.Index) *hoplabel.Labeling {
+	if l, ok := idx.(labeled); ok {
+		return l.Labeling()
+	}
+	return nil
 }
 
 // LabelStats returns hop-label statistics for labeling methods.
@@ -352,7 +422,7 @@ func fromSnapshot(snap *snapshot.Snapshot) (*Oracle, error) {
 	if err != nil {
 		return nil, err
 	}
-	o := &Oracle{g: g, idx: idx, opts: snap.Opts, loaded: true}
+	o := &Oracle{g: g, idx: idx, labels: labelsOf(idx), opts: snap.Opts, loaded: true}
 	if snap.Observers != nil {
 		o.obs.Store(snap.Observers)
 	} else {

@@ -2,8 +2,17 @@ package reach
 
 import (
 	"bytes"
+	"os"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
+
+	"repro/internal/graph"
 )
+
+// corpusGraph is the edge list behind every corpus snapshot.
+const corpusGraph = "0 1\n1 2\n2 0\n2 3\n3 4\n5 3\n4 6\n6 5\n"
 
 // corpusSnapshot builds a small snapshot to seed fuzzing and corruption
 // sweeps: a cyclic graph (so the condensation section is non-trivial)
@@ -17,8 +26,7 @@ func corpusSnapshot(t testing.TB, m Method) []byte {
 // snapshots (Options.NoObservers drops the optional section entirely).
 func corpusSnapshotOpts(t testing.TB, m Method, opts Options) []byte {
 	t.Helper()
-	src := "0 1\n1 2\n2 0\n2 3\n3 4\n5 3\n4 6\n6 5\n"
-	g, _, err := ReadGraph(bytes.NewReader([]byte(src)))
+	g, _, err := ReadGraph(strings.NewReader(corpusGraph))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,5 +192,62 @@ func TestSnapshotUnknownFlagRejected(t *testing.T) {
 	mut[flagsOff] |= 1 << 2 // first bit beyond knownFlags
 	if _, err := LoadBytes(mut); err == nil {
 		t.Fatal("snapshot with an unknown flag bit loaded without error")
+	}
+}
+
+// TestRankKeyedSnapshotLoads loads a DL snapshot written before DL keyed
+// its labels by topological position — the checked-in corpus file
+// valid-dl — through LoadBytes and checks every pair of its graph against
+// BFS, with the observers on and with every pair left to the labels. The
+// graph condenses to two vertices, whose rank and topological orders
+// agree; TestDLRankKeyedLabels in internal/core decodes rank-keyed labels
+// that differ from the topological ones.
+func TestRankKeyedSnapshotLoads(t *testing.T) {
+	file, err := os.ReadFile("testdata/fuzz/FuzzLoadSnapshot/valid-dl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The corpus format is a header line, then one []byte("...") literal.
+	_, lit, _ := strings.Cut(string(file), "\n")
+	lit = strings.TrimSpace(lit)
+	quoted, ok := strings.CutPrefix(lit, "[]byte(")
+	if !ok || !strings.HasSuffix(quoted, ")") {
+		t.Fatalf("corpus file is not one []byte literal: %.40q", lit)
+	}
+	data, err := strconv.Unquote(strings.TrimSuffix(quoted, ")"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, err := LoadBytes([]byte(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, ids, err := graph.ReadEdgeList(strings.NewReader(corpusGraph))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(o.Graph().OrigIDs(), ids) {
+		t.Fatalf("snapshot IDs %v, corpus graph IDs %v", o.Graph().OrigIDs(), ids)
+	}
+	n := raw.NumVertices()
+	vst := graph.NewVisitor(n)
+	var pairs [][2]uint32
+	var want []bool
+	for u := 0; u < n; u++ {
+		for v := 0; v < n; v++ {
+			pairs = append(pairs, [2]uint32{uint32(u), uint32(v)})
+			want = append(want, vst.Reachable(raw, graph.Vertex(u), graph.Vertex(v)))
+		}
+	}
+	for _, observers := range []bool{true, false} {
+		if !observers {
+			o.DisableObservers()
+		}
+		batch := o.ReachableBatch(pairs, nil)
+		for i, p := range pairs {
+			if got := o.Reachable(p[0], p[1]); got != want[i] || batch[i] != want[i] {
+				t.Fatalf("observers=%v: reach(%d,%d) = %v (batch %v), BFS says %v", observers, p[0], p[1], got, batch[i], want[i])
+			}
+		}
 	}
 }
