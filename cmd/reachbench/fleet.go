@@ -39,11 +39,10 @@ type localFleet struct {
 // startLocalFleet builds the snapshot and brings up n replicas + router.
 // noObservers strips the observer fast path from every replica (and from
 // the build), so a -no-observers run measures the pure index path — the
-// end-to-end half of the ablation story. useMux gives every replica a
-// loopback stream-transport listener (advertised via healthz, so the
-// router negotiates it exactly as a production fleet would); false keeps
-// all router→replica traffic on HTTP.
-func startLocalFleet(graphPath, snapPath, method string, n int, noObservers bool, wire string, useMux bool) (*localFleet, error) {
+// end-to-end half of the ablation story. Every replica gets a loopback
+// stream-transport listener, advertised via healthz, so the router
+// sends it batches over mux exactly as a production fleet would.
+func startLocalFleet(graphPath, snapPath, method string, n int, noObservers bool) (*localFleet, error) {
 	if graphPath == "" {
 		return nil, fmt.Errorf("-replicas requires -graph (the fleet needs a graph to build its snapshot from)")
 	}
@@ -102,24 +101,17 @@ func startLocalFleet(graphPath, snapPath, method string, n int, noObservers bool
 		}
 		lf.oracles = append(lf.oracles, oracle)
 		g := oracle.Graph()
-		cfg := server.Config{OrigIDs: g.OrigIDs()}
 		// Bind the stream-transport listener before server.New so healthz
 		// advertises the kernel-assigned port, mirroring reachd -mux-addr.
-		var muxLn net.Listener
-		if useMux {
-			muxLn, err = net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				return nil, err
-			}
-			cfg.MuxAddr = muxLn.Addr().String()
+		muxLn, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			return nil, err
 		}
-		s := server.New(g, oracle, cfg)
+		s := server.New(g, oracle, server.Config{OrigIDs: g.OrigIDs(), MuxAddr: muxLn.Addr().String()})
 		lf.servers = append(lf.servers, s)
-		if muxLn != nil {
-			ms := s.NewMuxServer(func(string, ...any) {})
-			lf.muxSrvs = append(lf.muxSrvs, ms)
-			go ms.Serve(muxLn)
-		}
+		ms := s.NewMuxServer(func(string, ...any) {})
+		lf.muxSrvs = append(lf.muxSrvs, ms)
+		go ms.Serve(muxLn)
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			return nil, err
@@ -132,7 +124,6 @@ func startLocalFleet(graphPath, snapPath, method string, n int, noObservers bool
 
 	rt, err := fleet.New(context.Background(), fleet.Config{
 		Replicas:      bases,
-		Wire:          wire,
 		ProbeInterval: 200 * time.Millisecond,
 		Logf:          func(string, ...any) {}, // probes are noise in a bench run
 	})

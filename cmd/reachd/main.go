@@ -6,14 +6,14 @@
 // Usage:
 //
 //	reachd -graph g.txt [-method DL] [-addr :8080] [-snapshot g.snap]
-//	       [-workers N] [-cache-policy s3fifo] [-cache-capacity 1048576]
+//	       [-workers N] [-cache-capacity 1048576]
 //	       [-cache-shards 64] [-request-timeout 0] [-max-inflight 0]
 //	       [-slow-query-log 50ms] [-pprof] [-observers on] [-mux-addr :9090]
 //
 // -mux-addr additionally listens for the raw-TCP stream transport
 // (docs/WIRE.md, "Stream transport"): routers that learn the address
-// from /v1/healthz pipeline batches over a few persistent connections
-// instead of one HTTP request each. Requires -wire=binary (the default).
+// from /v1/healthz pipeline binary batch frames over a few persistent
+// connections instead of one JSON request each.
 //
 // If -snapshot names an existing snapshot of the same graph and method,
 // it is memory-mapped and serving starts in milliseconds — the snapshot
@@ -72,7 +72,6 @@ func main() {
 		addr      = flag.String("addr", ":8080", "listen address")
 		snapshot  = flag.String("snapshot", "", "snapshot path: mmap-load if present, else build and save")
 		workers   = flag.Int("workers", 0, "batch worker pool size (default GOMAXPROCS)")
-		policy    = flag.String("cache-policy", server.PolicyS3FIFO, "query cache admission policy: s3fifo or fifo")
 		cacheCap  = flag.Int("cache-capacity", server.DefaultCacheCapacity, "query cache entries (negative disables)")
 		shards    = flag.Int("cache-shards", server.DefaultCacheShards, "query cache shard count")
 		maxBatch  = flag.Int("max-batch", 0, "max pairs per /v1/batch request (default 1<<20)")
@@ -81,28 +80,11 @@ func main() {
 		slowTO    = flag.Duration("slow-query-log", 0, "log queries slower than this as JSON lines on stderr (0 disables)")
 		pprof     = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 		observers = flag.String("observers", "on", "observer fast path in front of the index: on or off")
-		wire      = flag.String("wire", "binary", "accept binary batch frames on /v1/batch: binary (JSON still accepted) or json (binary answered 415)")
 		muxAddr   = flag.String("mux-addr", "", "listen address for the raw-TCP stream transport (e.g. :9090); advertised via /v1/healthz, empty disables")
 	)
 	flag.Parse()
-	if *muxAddr != "" && *wire == "json" {
-		// The stream transport carries binary frames; offering it while
-		// refusing the encoding would advertise a listener that rejects
-		// every batch.
-		fmt.Fprintf(os.Stderr, "reachd: -mux-addr requires -wire=binary\n")
-		os.Exit(1)
-	}
 	if *observers != "on" && *observers != "off" {
 		fmt.Fprintf(os.Stderr, "reachd: unknown -observers %q (want on or off)\n", *observers)
-		os.Exit(1)
-	}
-	if *wire != "binary" && *wire != "json" {
-		fmt.Fprintf(os.Stderr, "reachd: unknown -wire %q (want binary or json)\n", *wire)
-		os.Exit(1)
-	}
-	if *policy != server.PolicyS3FIFO && *policy != server.PolicyFIFO {
-		fmt.Fprintf(os.Stderr, "reachd: unknown -cache-policy %q (want %s or %s)\n",
-			*policy, server.PolicyS3FIFO, server.PolicyFIFO)
 		os.Exit(1)
 	}
 	// An unset -method means "whatever the snapshot holds" when loading,
@@ -115,7 +97,6 @@ func main() {
 	})
 	if err := run(*graphPath, *method, methodSet, *addr, *snapshot, *muxAddr, *observers == "off", server.Config{
 		Workers:            *workers,
-		CachePolicy:        *policy,
 		CacheShards:        *shards,
 		CacheCapacity:      *cacheCap,
 		MaxBatchPairs:      *maxBatch,
@@ -123,7 +104,6 @@ func main() {
 		MaxInFlight:        *inflight,
 		SlowQueryThreshold: *slowTO,
 		EnablePprof:        *pprof,
-		DisableBinaryWire:  *wire == "json",
 	}); err != nil {
 		fmt.Fprintf(os.Stderr, "reachd: %v\n", err)
 		os.Exit(1)

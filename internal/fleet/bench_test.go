@@ -14,21 +14,17 @@ import (
 	"repro/internal/server"
 )
 
-// benchWireMux is the stream-transport dimension of the wire benchmarks:
-// binary frames over persistent mux connections instead of HTTP requests.
-const benchWireMux = "mux"
+// benchWires are the router→replica paths the wire benchmarks compare:
+// "mux" gives each replica a stream-transport listener, which the router
+// picks up from healthz exactly as a production fleet would; "json" is
+// a replica without one, sent JSON over HTTP.
+var benchWires = []string{"mux", "json"}
 
 // benchFleet stands up n real replicas (shared immutable oracle, the
-// same thing N mmaps of one snapshot give) and a router over them
-// speaking the given wire encoding to replicas; benchWireMux gives each
-// replica a stream-transport listener and lets the router negotiate it
-// from healthz, exactly as a production fleet would.
+// same thing N mmaps of one snapshot give) and a router over them,
+// reaching the replicas over the given wire path.
 func benchFleet(b *testing.B, n int, wire string) (*Router, *reach.Graph) {
 	b.Helper()
-	useMux := wire == benchWireMux
-	if useMux {
-		wire = WireBinary
-	}
 	raw := gen.CitationDAG(5000, 4, 0.5, 3)
 	edges := make([][2]uint32, 0, raw.NumEdges())
 	raw.Edges(func(u, v graph.Vertex) bool {
@@ -47,7 +43,7 @@ func benchFleet(b *testing.B, n int, wire string) (*Router, *reach.Graph) {
 	for i := 0; i < n; i++ {
 		scfg := server.Config{}
 		var muxLn net.Listener
-		if useMux {
+		if wire == "mux" {
 			muxLn, err = net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
 				b.Fatal(err)
@@ -68,7 +64,7 @@ func benchFleet(b *testing.B, n int, wire string) (*Router, *reach.Graph) {
 		b.Cleanup(func() { ts.Close(); s.Close() })
 		bases = append(bases, ts.URL)
 	}
-	cfg := Config{Replicas: bases, Wire: wire, DisableMux: !useMux, Logf: func(string, ...any) {}}
+	cfg := Config{Replicas: bases, Logf: func(string, ...any) {}}
 	rt, err := New(context.Background(), cfg)
 	if err != nil {
 		b.Fatal(err)
@@ -88,23 +84,22 @@ func benchPairs(g *reach.Graph, size int) [][2]uint64 {
 }
 
 // BenchmarkRouterBatch measures the scatter-gather fan-out overhead: one
-// batch through a router fronting 1 vs 3 replicas, on every wire
-// encoding, with the pairs/op rate making throughput comparable to the
+// batch through a router fronting 1 vs 3 replicas, on both wire paths,
+// with the pairs/op rate making throughput comparable to the
 // single-node BenchmarkServerBatch. replicas=1 isolates the router's own
 // hop (proxy + merge cost); replicas=3 adds the scatter across the
-// fleet; wire=json vs wire=binary is the encoding ablation the binary
-// protocol exists for, and wire=mux sends the same binary frames over
-// persistent stream-transport connections — the transport ablation on
-// top. The two batch sizes separate the regimes: at 512 pairs the
-// per-request transport overhead dominates (where mux earns its keep),
-// at 4096 the replica's serving compute does (where the transports
-// converge). One untimed priming batch warms the replica caches (and,
-// for mux, dials the connection pool) so the loop measures steady-state
-// serving, not oracle warmup — the wire comparison is meaningless if
-// iteration one buries both encodings under index probes.
+// fleet; wire=mux (binary frames over persistent stream-transport
+// connections) vs wire=json (one JSON request per sub-batch) is the
+// ablation the binary path exists for. The two batch sizes separate
+// the regimes: at 512 pairs the per-request transport overhead
+// dominates, at 4096 the replica's serving compute does. Untimed
+// priming batches warm the replica caches (and, for mux, dial the
+// connection pool) so the loop measures steady-state serving, not
+// oracle warmup — the wire comparison is meaningless if iteration one
+// buries both paths under index probes.
 func BenchmarkRouterBatch(b *testing.B) {
 	for _, n := range []int{1, 3} {
-		for _, wire := range []string{benchWireMux, WireBinary, WireJSON} {
+		for _, wire := range benchWires {
 			for _, batch := range []int{512, 4096} {
 				b.Run(fmt.Sprintf("replicas=%d/wire=%s/batch=%d", n, wire, batch), func(b *testing.B) {
 					rt, g := benchFleet(b, n, wire)
@@ -138,7 +133,7 @@ func BenchmarkRouterBatch(b *testing.B) {
 // BenchmarkRouterBatch/replicas=1 is the router's added hop.
 func BenchmarkDirectBatch(b *testing.B) {
 	const batch = 4096
-	for _, wire := range []string{benchWireMux, WireBinary, WireJSON} {
+	for _, wire := range benchWires {
 		b.Run("wire="+wire, func(b *testing.B) {
 			rt, g := benchFleet(b, 1, wire)
 			pairs := benchPairs(g, batch)

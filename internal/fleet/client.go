@@ -19,21 +19,17 @@ import (
 	"repro/internal/mux"
 	"repro/internal/obs"
 	"repro/internal/server"
-	"repro/internal/wireproto"
 )
 
-// wireCounters tallies batch traffic by encoding from the sender's
+// wireCounters tallies JSON batch traffic from the sender's
 // perspective: tx is request-body bytes sent to replicas, rx is
 // response-body bytes read back. The router shares one instance across
 // its replica clients and exposes it as reach_wire_frames_total /
-// reach_wire_bytes_total.
+// reach_wire_bytes_total; mux traffic has its own mux.Counters.
 type wireCounters struct {
-	framesJSON   atomic.Int64
-	framesBinary atomic.Int64
-	txJSON       atomic.Int64
-	rxJSON       atomic.Int64
-	txBinary     atomic.Int64
-	rxBinary     atomic.Int64
+	framesJSON atomic.Int64
+	txJSON     atomic.Int64
+	rxJSON     atomic.Int64
 }
 
 // Client speaks the reachd v1 wire protocol to one replica. It reuses
@@ -43,14 +39,8 @@ type Client struct {
 	base string
 	hc   *http.Client
 
-	// binaryWire selects wireproto frames for Batch. The router sets it
-	// from the replica's healthz "wire" capability at every probe; the
-	// client clears it itself on a 415 (the replica's definitive "I
-	// don't speak binary") and retries the batch as JSON.
-	binaryWire atomic.Bool
-
 	// muxPool, when set, is the persistent stream-transport connection
-	// pool to this replica (internal/mux): Batch tries it before HTTP and
+	// pool to this replica (internal/mux): Batch tries it before JSON and
 	// falls back per batch when no connection is available. The router
 	// installs it via UseMux from the replica's healthz "mux"
 	// advertisement and tears it down when the advertisement disappears.
@@ -66,23 +56,15 @@ type Client struct {
 
 // NewClient returns a client for the replica at base (e.g.
 // "http://10.0.0.3:8080"). timeout bounds each request end-to-end; zero
-// means no timeout. Batches go as JSON until UseBinaryWire(true).
+// means no timeout. Batches go as JSON until UseMux installs a
+// stream-transport pool.
 func NewClient(base string, timeout time.Duration) *Client {
 	return &Client{base: base, hc: &http.Client{Timeout: timeout}, counters: &wireCounters{}}
 }
 
-// UseBinaryWire switches Batch between wireproto frames and JSON. Turn
-// it on only for replicas whose healthz advertises the "binary" wire
-// capability; the client demotes itself back to JSON if the replica
-// answers 415 anyway (e.g. restarted with -wire=json between probes).
-func (c *Client) UseBinaryWire(on bool) { c.binaryWire.Store(on) }
-
-// BinaryWire reports whether Batch currently encodes wireproto frames.
-func (c *Client) BinaryWire() bool { return c.binaryWire.Load() }
-
 // UseMux points Batch at the replica's stream-transport listener:
 // subsequent batches go over persistent mux connections (dialed lazily,
-// fingerprint-checked in the handshake) with per-batch HTTP fallback.
+// fingerprint-checked in the handshake) with per-batch JSON fallback.
 // An empty addr tears the pool down — the replica stopped advertising
 // the capability. Idempotent per (addr, fingerprint), so the router can
 // call it on every probe; a changed address or fingerprint replaces the
@@ -113,7 +95,7 @@ func (c *Client) UseMux(addr, fingerprint string) {
 }
 
 // MuxActive reports whether Batch currently tries the stream transport
-// first — the per-replica "transport" truth /v1/stats exposes.
+// first — the per-replica "transport" /v1/stats exposes.
 func (c *Client) MuxActive() bool { return c.muxPool.Load() != nil }
 
 // MuxOpenConns reports the pool's currently open connections (0 with no
@@ -243,48 +225,34 @@ func (c *Client) Reachable(ctx context.Context, u, v uint64) (server.ReachableRe
 	return rr, err
 }
 
-// Batch sends pairs to the replica's /v1/batch and returns the in-order
-// results. A reply whose result count does not match the pair count is a
-// protocol violation and is reported as an error rather than silently
+// Batch sends pairs to the replica and returns the in-order results. A
+// reply whose result count does not match the pair count is a protocol
+// violation and is reported as an error rather than silently
 // misaligned.
 //
-// With the binary wire negotiated (see UseBinaryWire), pairs go as one
-// wireproto frame; JSON remains the fallback for replicas that answer
-// 415 and for batches whose IDs exceed the frame format's uint32 range.
-//
-// With a mux pool installed on top (see UseMux), the frame goes over a
-// persistent stream-transport connection instead of an HTTP request;
-// when no connection is available (dial failure, backoff window, a
-// connection that just died) the batch falls back to HTTP binary — the
-// fallback is per batch, so the transport self-heals without the router
-// noticing.
+// The path is picked per batch from what the client can observe. With a
+// mux pool installed (see UseMux) and every ID within the frame
+// format's u32, the pairs go as one binary frame over a persistent
+// stream-transport connection. Otherwise they go as JSON to POST
+// /v1/batch: the replica advertised no listener, an ID exceeds
+// 2^32-1, or no connection is available right now (dial failure,
+// backoff window, a connection that just died). The fallback is per
+// batch, so the transport self-heals without the router noticing.
 func (c *Client) Batch(ctx context.Context, pairs [][2]uint64) ([]bool, error) {
-	if c.binaryWire.Load() {
-		if p := c.muxPool.Load(); p != nil {
-			results, ok, err := c.batchMux(ctx, p, pairs)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				return results, nil
-			}
-			// Fell through: no usable connection or wide IDs — try HTTP.
-		}
-		results, ok, err := c.batchBinary(ctx, pairs)
+	if p := c.muxPool.Load(); p != nil {
+		results, ok, err := c.batchMux(ctx, p, pairs)
 		if err != nil {
 			return nil, err
 		}
 		if ok {
 			return results, nil
 		}
-		// Fell through: wide IDs (this batch only) or a 415 (the client
-		// demoted itself to JSON for good).
 	}
 	return c.batchJSON(ctx, pairs)
 }
 
 // batchMux sends pairs over the stream transport. ok=false with a nil
-// error means "try HTTP instead, this batch": the pool has no usable
+// error means "send this batch as JSON instead": the pool has no usable
 // connection right now (it redials in the background), the connection
 // died mid-flight (a transport error, not a replica verdict), or the
 // batch carries IDs wider than the frame format's uint32. Replica
@@ -336,7 +304,7 @@ func (c *Client) batchMux(ctx context.Context, p *mux.Pool, pairs [][2]uint64) (
 // wildcard host (":9090", "0.0.0.0:9090", "[::]:9090") names every
 // interface and none, so the router substitutes the host it already
 // reaches the replica's HTTP API on. Returns "" for an unparseable
-// advertisement — the router then just stays on HTTP.
+// advertisement — the router then just stays on JSON.
 func resolveMuxAddr(base, adv string) string {
 	host, port, err := net.SplitHostPort(adv)
 	if err != nil || port == "" {
@@ -374,117 +342,12 @@ func (c *Client) batchJSON(ctx context.Context, pairs [][2]uint64) ([]bool, erro
 	return br.Results, nil
 }
 
-// clientScratch is one binary batch's worth of reusable buffers: the
-// request frame (reused to read the smaller response frame back) and the
-// narrowed pairs.
+// clientScratch holds one mux batch's narrowed pairs for reuse.
 type clientScratch struct {
-	frame []byte
 	pairs [][2]uint32
 }
 
 var clientScratchPool = sync.Pool{New: func() any { return new(clientScratch) }}
-
-// batchBinary sends pairs as one wireproto request frame. ok=false with
-// a nil error means "send this (and maybe every future) batch as JSON
-// instead": the batch carries IDs wider than the frame format's uint32,
-// or the replica answered 415 and the client demoted itself.
-func (c *Client) batchBinary(ctx context.Context, pairs [][2]uint64) (results []bool, ok bool, err error) {
-	for _, p := range pairs {
-		if p[0] > math.MaxUint32 || p[1] > math.MaxUint32 {
-			return nil, false, nil
-		}
-	}
-	n := len(pairs)
-	sc := clientScratchPool.Get().(*clientScratch)
-	defer clientScratchPool.Put(sc)
-	if cap(sc.pairs) < n {
-		sc.pairs = make([][2]uint32, n)
-	}
-	p32 := sc.pairs[:n]
-	for i, p := range pairs {
-		p32[i] = [2]uint32{uint32(p[0]), uint32(p[1])}
-	}
-	size := wireproto.RequestSize(n)
-	if cap(sc.frame) < size {
-		sc.frame = make([]byte, size)
-	}
-	frame := sc.frame[:size]
-	wireproto.EncodeRequest(frame, p32)
-
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/batch", bytes.NewReader(frame))
-	if err != nil {
-		return nil, false, err
-	}
-	req.Header.Set("Content-Type", wireproto.ContentType)
-	if id := obs.TraceFrom(ctx); id != "" {
-		req.Header.Set(obs.TraceHeader, id)
-	}
-	c.counters.framesBinary.Add(1)
-	c.counters.txBinary.Add(int64(size))
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, false, err
-	}
-	defer func() {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
-
-	if resp.StatusCode == http.StatusUnsupportedMediaType {
-		// The replica does not speak these frames (restarted with
-		// -wire=json between probes, or an older build). Demote to JSON
-		// until a probe re-advertises the capability.
-		c.binaryWire.Store(false)
-		return nil, false, nil
-	}
-	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		se := &StatusError{Status: resp.StatusCode}
-		if raw, rerr := io.ReadAll(io.LimitReader(resp.Body, 4096)); rerr == nil {
-			c.counters.rxBinary.Add(int64(len(raw)))
-			if _, msg, derr := wireproto.DecodeError(raw); derr == nil {
-				se.Body = msg
-			} else {
-				// Not an error frame — a proxy or mux answered. Keep the
-				// same best-effort body decoding the JSON path uses.
-				var eresp server.ErrorResponse
-				if json.Unmarshal(raw, &eresp) == nil && eresp.Error != "" {
-					se.Body = eresp.Error
-				} else {
-					se.Body = string(bytes.TrimSpace(raw))
-				}
-			}
-		}
-		if ra, aerr := strconv.Atoi(resp.Header.Get("Retry-After")); aerr == nil && ra > 0 {
-			se.RetryAfter = ra
-		}
-		return nil, false, se
-	}
-
-	// Success: the response frame is exactly ResponseSize(n) bytes and
-	// fits in the request's buffer (results are bit-packed).
-	rsize := wireproto.ResponseSize(n)
-	rframe := sc.frame[:rsize]
-	if _, err := io.ReadFull(resp.Body, rframe); err != nil {
-		return nil, false, fmt.Errorf("reading response frame: %w", err)
-	}
-	var trailer [1]byte
-	if extra, _ := resp.Body.Read(trailer[:]); extra != 0 {
-		return nil, false, fmt.Errorf("replica sent trailing bytes after response frame")
-	}
-	c.counters.rxBinary.Add(int64(rsize))
-	m, err := wireproto.ResponseCount(rframe)
-	if err != nil {
-		return nil, false, fmt.Errorf("bad response frame: %w", err)
-	}
-	if m != n {
-		return nil, false, fmt.Errorf("replica answered %d results for %d pairs", m, n)
-	}
-	results = make([]bool, n)
-	if err := wireproto.DecodeResponse(rframe, results); err != nil {
-		return nil, false, fmt.Errorf("bad response frame: %w", err)
-	}
-	return results, true, nil
-}
 
 // CloseIdleConnections releases the client's pooled keep-alive
 // connections — HTTP keep-alives and the mux pool both.

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"net"
 	"net/http/httptest"
-	"slices"
 	"testing"
 
 	reach "repro"
@@ -13,15 +12,16 @@ import (
 )
 
 // startMuxReplica is startReplica plus a stream-transport listener: the
-// kernel-assigned mux address goes into server.Config before server.New
-// so healthz advertises it, mirroring reachd -mux-addr.
-func startMuxReplica(t *testing.T, g *reach.Graph, oracle *reach.Oracle) string {
+// kernel-assigned mux address goes into cfg before server.New so healthz
+// advertises it, mirroring reachd -mux-addr.
+func startMuxReplica(t *testing.T, g *reach.Graph, oracle *reach.Oracle, cfg server.Config) string {
 	t.Helper()
 	muxLn, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := server.New(g, oracle, server.Config{MuxAddr: muxLn.Addr().String()})
+	cfg.MuxAddr = muxLn.Addr().String()
+	s := server.New(g, oracle, cfg)
 	ms := s.NewMuxServer(func(string, ...any) {})
 	go ms.Serve(muxLn)
 	ts := httptest.NewServer(s.Handler())
@@ -35,14 +35,14 @@ func startMuxReplica(t *testing.T, g *reach.Graph, oracle *reach.Oracle) string 
 	return ts.URL
 }
 
-// TestMuxNegotiation: a mux-advertising replica and an HTTP-only one
+// TestMuxNegotiation: a mux-advertising replica and a JSON-only one
 // behind the same router. The router must open the stream transport to
-// the first (and report it in /v1/stats), keep plain HTTP to the second,
-// and merge correct answers out of the mixed scatter with batch traffic
-// actually flowing over mux frames.
+// the first (and report it in /v1/stats), send JSON to the second, and
+// merge correct answers out of the mixed scatter with batch traffic
+// actually flowing over both paths.
 func TestMuxNegotiation(t *testing.T) {
 	g, oracle := realOracle(t)
-	muxBase := startMuxReplica(t, g, oracle)
+	muxBase := startMuxReplica(t, g, oracle, server.Config{})
 	httpBase := startReplica(t, g, oracle, server.Config{})
 
 	cfg := silentCfg(muxBase, httpBase)
@@ -54,7 +54,7 @@ func TestMuxNegotiation(t *testing.T) {
 		t.Fatalf("mux-advertising replica negotiated transport %q, want \"mux\"", got)
 	}
 	if got := byBase[httpBase].Transport; got != "http" {
-		t.Fatalf("HTTP-only replica negotiated transport %q, want \"http\"", got)
+		t.Fatalf("JSON-only replica negotiated transport %q, want \"http\"", got)
 	}
 
 	rng := rand.New(rand.NewSource(11))
@@ -80,98 +80,11 @@ func TestMuxNegotiation(t *testing.T) {
 	if tx, rx := rt.met.muxTraffic.BytesTx.Load(), rt.met.muxTraffic.BytesRx.Load(); tx == 0 || rx == 0 {
 		t.Fatalf("mux byte counters tx=%d rx=%d, want both positive", tx, rx)
 	}
+	if rt.met.wire.framesJSON.Load() == 0 {
+		t.Fatal("mixed fleet sent no JSON batches")
+	}
 	if rt.replicas[0].client.MuxOpenConns()+rt.replicas[1].client.MuxOpenConns() == 0 {
 		t.Fatal("no open mux connections after mux-routed batches")
-	}
-}
-
-// TestMuxDisabled: Config.DisableMux is the ablation switch — a replica
-// may advertise the stream transport all it wants, every batch stays on
-// HTTP.
-func TestMuxDisabled(t *testing.T) {
-	g, oracle := realOracle(t)
-	base := startMuxReplica(t, g, oracle)
-	cfg := silentCfg(base)
-	cfg.DisableMux = true
-	rt := newTestRouter(t, cfg)
-
-	if got := replicaStatsByBase(t, rt)[base].Transport; got != "http" {
-		t.Fatalf("DisableMux router negotiated transport %q, want \"http\"", got)
-	}
-	if _, err := rt.Batch(context.Background(), [][2]uint64{{1, 2}}); err != nil {
-		t.Fatal(err)
-	}
-	if n := rt.met.muxTraffic.FramesTx.Load(); n != 0 {
-		t.Fatalf("DisableMux router sent %d mux frames, want 0", n)
-	}
-	if rt.met.wire.framesBinary.Load() == 0 {
-		t.Fatal("DisableMux must still use binary over HTTP, not fall to JSON")
-	}
-}
-
-// TestMuxFallbackToHTTP: when every stream-transport connection is
-// refused (the advertised listener is gone but the replica's HTTP side
-// is alive — say the mux port got firewalled), batches must degrade to
-// HTTP per batch without ejecting the replica or surfacing an error.
-func TestMuxFallbackToHTTP(t *testing.T) {
-	g, oracle := realOracle(t)
-	// A listener bound and immediately closed: a dialable-looking
-	// advertisement with nothing behind it.
-	deadLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadAddr := deadLn.Addr().String()
-	deadLn.Close()
-	base := startReplica(t, g, oracle, server.Config{MuxAddr: deadAddr})
-
-	cfg := silentCfg(base)
-	rt := newTestRouter(t, cfg)
-
-	// Negotiation believes the advertisement (the pool dials lazily)...
-	if got := replicaStatsByBase(t, rt)[base].Transport; got != "mux" {
-		t.Fatalf("negotiated transport %q, want \"mux\" (advertisement taken at face value)", got)
-	}
-	// ...but batches must still come back right, over HTTP.
-	res, err := rt.Batch(context.Background(), [][2]uint64{{1, 2}, {3, 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, p := range [][2]uint64{{1, 2}, {3, 4}} {
-		if res[i] != oracle.Reachable(uint32(p[0]), uint32(p[1])) {
-			t.Fatalf("fallback batch result %d disagrees with oracle", i)
-		}
-	}
-	if rt.met.muxTraffic.FramesTx.Load() != 0 {
-		t.Fatal("dead mux listener cannot have carried frames")
-	}
-	if rt.met.wire.framesBinary.Load() == 0 {
-		t.Fatal("fallback batch did not go over HTTP binary")
-	}
-	// The replica must still be enrolled: mux trouble is a transport
-	// detail, not a health signal — HTTP liveness decides ejection.
-	if got := len(rt.healthy(nil)); got != 1 {
-		t.Fatalf("%d healthy replicas after mux fallback, want 1", got)
-	}
-}
-
-// TestStatsCapabilitiesSorted: /v1/stats must report each replica's
-// advertised wire capabilities sorted, whatever order healthz listed
-// them in — row content must not depend on replica build quirks.
-func TestStatsCapabilitiesSorted(t *testing.T) {
-	g, oracle := realOracle(t)
-	base := startReplica(t, g, oracle, server.Config{})
-	rt := newTestRouter(t, silentCfg(base))
-
-	caps := replicaStatsByBase(t, rt)[base].Capabilities
-	if len(caps) == 0 {
-		t.Fatal("binary-capable replica reported no capabilities")
-	}
-	if !slices.IsSorted(caps) {
-		t.Fatalf("capabilities %v not sorted", caps)
-	}
-	if !slices.Contains(caps, "binary") || !slices.Contains(caps, "json") {
-		t.Fatalf("capabilities %v missing binary/json", caps)
 	}
 }
 

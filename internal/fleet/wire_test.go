@@ -3,16 +3,15 @@ package fleet
 import (
 	"context"
 	"math"
-	"math/rand"
-	"net/http"
+	"net"
 	"net/http/httptest"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	reach "repro"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/mux"
 	"repro/internal/server"
 )
 
@@ -56,257 +55,133 @@ func replicaStatsByBase(t *testing.T, rt *Router) map[string]ReplicaStats {
 	return out
 }
 
-// TestWireNegotiationMixedFleet: a binary-capable replica and a
-// -wire=json one behind the same router. The router must speak binary to
-// the first, JSON to the second, report that split in its stats, and
-// still merge correct answers out of the mixed scatter.
-func TestWireNegotiationMixedFleet(t *testing.T) {
+// TestBatchPathSelection pins how Client.Batch picks a path per batch
+// from what it can observe: the stream transport when the replica
+// advertises a mux listener and every ID fits the frame's u32, JSON
+// otherwise. Each step asserts the answers and which counter moved.
+func TestBatchPathSelection(t *testing.T) {
 	g, oracle := realOracle(t)
-	binBase := startReplica(t, g, oracle, server.Config{})
-	jsonBase := startReplica(t, g, oracle, server.Config{DisableBinaryWire: true})
-
-	cfg := silentCfg(binBase, jsonBase)
-	cfg.MinSubBatch = 16
-	rt := newTestRouter(t, cfg)
-
-	byBase := replicaStatsByBase(t, rt)
-	if got := byBase[binBase].Wire; got != WireBinary {
-		t.Fatalf("binary-capable replica negotiated %q, want %q", got, WireBinary)
-	}
-	if got := byBase[jsonBase].Wire; got != WireJSON {
-		t.Fatalf("-wire=json replica negotiated %q, want %q", got, WireJSON)
-	}
-
-	// Scatter enough pairs that both replicas serve sub-batches; repeat
-	// so power-of-two-choices is virtually certain to have used both.
-	rng := rand.New(rand.NewSource(5))
-	n := g.NumVertices()
-	for round := 0; round < 8; round++ {
-		pairs := make([][2]uint64, 200)
-		for i := range pairs {
-			pairs[i] = [2]uint64{uint64(rng.Intn(n)), uint64(rng.Intn(n))}
-		}
-		res, err := rt.Batch(context.Background(), pairs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, p := range pairs {
-			if res[i] != oracle.Reachable(uint32(p[0]), uint32(p[1])) {
-				t.Fatalf("round %d: mixed-fleet batch result %d disagrees with oracle", round, i)
-			}
-		}
-	}
-	if rt.met.wire.framesBinary.Load() == 0 {
-		t.Fatal("mixed fleet routed no binary frames")
-	}
-	if rt.met.wire.framesJSON.Load() == 0 {
-		t.Fatal("mixed fleet routed no JSON batches")
-	}
-	if rt.met.wire.txBinary.Load() == 0 || rt.met.wire.rxBinary.Load() == 0 {
-		t.Fatalf("binary byte counters tx=%d rx=%d, want both positive",
-			rt.met.wire.txBinary.Load(), rt.met.wire.rxBinary.Load())
-	}
-}
-
-// TestWireJSONForcesJSONEverywhere: Config.Wire=WireJSON is the ablation
-// switch — binary-capable replicas still get JSON.
-func TestWireJSONForcesJSONEverywhere(t *testing.T) {
-	g, oracle := realOracle(t)
-	base := startReplica(t, g, oracle, server.Config{})
-	cfg := silentCfg(base)
-	cfg.Wire = WireJSON
-	rt := newTestRouter(t, cfg)
-
-	if got := replicaStatsByBase(t, rt)[base].Wire; got != WireJSON {
-		t.Fatalf("forced-JSON router negotiated %q", got)
-	}
-	if _, err := rt.Batch(context.Background(), [][2]uint64{{1, 2}, {3, 4}}); err != nil {
-		t.Fatal(err)
-	}
-	if got := rt.met.wire.framesBinary.Load(); got != 0 {
-		t.Fatalf("forced-JSON router sent %d binary frames", got)
-	}
-	if rt.met.wire.framesJSON.Load() == 0 {
-		t.Fatal("forced-JSON router sent no JSON batches")
-	}
-}
-
-// TestWireConfigRejected: an unknown Config.Wire value is a construction
-// error, not a silent default.
-func TestWireConfigRejected(t *testing.T) {
-	_, err := New(context.Background(), Config{Replicas: []string{"http://x"}, Wire: "protobuf"})
-	if err == nil {
-		t.Fatal("New accepted Wire=protobuf")
-	}
-}
-
-// TestClientDemotesOn415: a client that believes a replica speaks binary
-// (stale negotiation — the replica restarted with -wire=json between
-// probes) gets a 415, transparently retries as JSON, and stays JSON.
-func TestClientDemotesOn415(t *testing.T) {
-	g, oracle := realOracle(t)
-	base := startReplica(t, g, oracle, server.Config{DisableBinaryWire: true})
-	c := NewClient(base, time.Second)
-	c.UseBinaryWire(true)
-
-	res, err := c.Batch(context.Background(), [][2]uint64{{1, 2}, {2, 1}})
-	if err != nil {
-		t.Fatalf("batch against stale-negotiated replica: %v", err)
-	}
-	if len(res) != 2 || res[0] != oracle.Reachable(1, 2) || res[1] != oracle.Reachable(2, 1) {
-		t.Fatalf("fallback batch answered %v", res)
-	}
-	if c.BinaryWire() {
-		t.Fatal("client still believes the replica speaks binary after a 415")
-	}
-	if c.counters.framesBinary.Load() != 1 || c.counters.framesJSON.Load() != 1 {
-		t.Fatalf("counters binary=%d json=%d, want 1 and 1 (one rejected frame, one JSON retry)",
-			c.counters.framesBinary.Load(), c.counters.framesJSON.Load())
-	}
-}
-
-// TestClientStaysDemotedUntilReEnrollment walks the whole demotion
-// lifecycle through a router: a binary-negotiated client that gets a 415
-// demotes itself to JSON, sends no further binary frames no matter how
-// many batches follow — even after the replica starts speaking binary
-// again — and is only re-promoted when a health probe re-negotiates from
-// a healthz that advertises the capability. That is the contract: the
-// 415 is the replica's word until enrollment says otherwise.
-func TestClientStaysDemotedUntilReEnrollment(t *testing.T) {
-	g, oracle := realOracle(t)
-	// One address, two personalities: the replica starts JSON-only (the
-	// stale-negotiation scenario a -wire=json restart produces) and later
-	// "restarts" as binary-capable behind the same URL.
-	sJSON := server.New(g, oracle, server.Config{DisableBinaryWire: true})
-	sBin := server.New(g, oracle, server.Config{})
-	t.Cleanup(func() { sJSON.Close(); sBin.Close() })
-	hJSON, hBin := sJSON.Handler(), sBin.Handler()
-	var current atomic.Pointer[http.Handler]
-	current.Store(&hJSON)
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		(*current.Load()).ServeHTTP(w, r)
-	}))
-	t.Cleanup(ts.Close)
-
-	// A probe interval long enough that only probes this test triggers
-	// run: re-promotion must be observably tied to a probe, not a timer.
-	cfg := silentCfg(ts.URL)
-	cfg.ProbeInterval = time.Hour
-	rt := newTestRouter(t, cfg)
-	r := rt.replicas[0]
-	c := r.client
-
-	// The initial probe saw a JSON-only healthz; plant the stale binary
-	// belief the demotion path exists to correct.
-	c.UseBinaryWire(true)
-	for i := 0; i < 3; i++ {
-		if _, err := c.Batch(context.Background(), [][2]uint64{{1, 2}}); err != nil {
-			t.Fatalf("batch %d: %v", i, err)
-		}
-		if c.BinaryWire() {
-			t.Fatalf("batch %d: client not demoted after the 415", i)
-		}
-	}
-	if got := c.counters.framesBinary.Load(); got != 1 {
-		t.Fatalf("demoted client sent %d binary frames, want exactly 1 (the rejected one)", got)
-	}
-
-	// The replica "restarts" binary-capable. With no probe yet, the
-	// demotion must hold: the client has no business retrying binary on
-	// its own.
-	current.Store(&hBin)
-	if _, err := c.Batch(context.Background(), [][2]uint64{{1, 2}}); err != nil {
-		t.Fatal(err)
-	}
-	if c.BinaryWire() || c.counters.framesBinary.Load() != 1 {
-		t.Fatalf("client re-promoted itself without a probe (binary=%v frames=%d)",
-			c.BinaryWire(), c.counters.framesBinary.Load())
-	}
-
-	// Re-enrollment: one probe against the binary-capable healthz. (The
-	// background loop ticks at ProbeInterval/4 — 15 minutes here — so this
-	// is the only prober.)
-	rt.probe(r)
-	if !c.BinaryWire() {
-		t.Fatal("probe against binary-advertising healthz did not re-promote the client")
-	}
-	if _, err := c.Batch(context.Background(), [][2]uint64{{1, 2}}); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.counters.framesBinary.Load(); got != 2 {
-		t.Fatalf("re-promoted client sent %d binary frames total, want 2", got)
-	}
-}
-
-// TestClientWideIDsFallBackToJSON: vertex IDs beyond uint32 cannot ride
-// the binary frame; those batches silently take the JSON path per batch
-// without demoting the connection.
-func TestClientWideIDsFallBackToJSON(t *testing.T) {
-	raw := gen.CitationDAG(50, 2, 0.5, 3)
-	edges := make([][2]uint32, 0, raw.NumEdges())
-	raw.Edges(func(u, v graph.Vertex) bool {
-		edges = append(edges, [2]uint32{uint32(u), uint32(v)})
-		return true
-	})
-	g, err := reach.NewGraph(raw.NumVertices(), edges)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oracle, err := reach.Build(g, reach.MethodDL, reach.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Original-ID mode with one ID off the uint32 end of the space.
-	wide := int64(math.MaxUint32) + 7
+	// Original-ID mode with one ID off the uint32 end of the space:
+	// vertex 1 answers to wide, every other vertex to its dense ID.
+	wide := uint64(math.MaxUint32) + 7
 	orig := make([]int64, g.NumVertices())
 	for i := range orig {
 		orig[i] = int64(i)
 	}
-	orig[1] = wide
-	base := startReplica(t, g, oracle, server.Config{OrigIDs: orig})
-	c := NewClient(base, time.Second)
-	c.UseBinaryWire(true)
-
-	res, err := c.Batch(context.Background(), [][2]uint64{{uint64(wide), 2}, {0, 2}})
+	orig[1] = int64(wide)
+	cfg := server.Config{OrigIDs: orig}
+	dense := func(id uint64) uint32 {
+		if id == wide {
+			return 1
+		}
+		return uint32(id)
+	}
+	// A listener bound and immediately closed: a dialable-looking
+	// advertisement with nothing behind it.
+	deadLn, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res[0] != oracle.Reachable(1, 2) || res[1] != oracle.Reachable(0, 2) {
-		t.Fatalf("wide-ID batch answered %v", res)
-	}
-	if !c.BinaryWire() {
-		t.Fatal("wide-ID fallback must not demote the client: the replica does speak binary")
-	}
-	if c.counters.framesBinary.Load() != 0 || c.counters.framesJSON.Load() != 1 {
-		t.Fatalf("counters binary=%d json=%d, want 0 and 1",
-			c.counters.framesBinary.Load(), c.counters.framesJSON.Load())
-	}
+	deadAddr := deadLn.Addr().String()
+	deadLn.Close()
 
-	// A batch whose IDs all fit goes binary against the same replica.
-	if _, err := c.Batch(context.Background(), [][2]uint64{{0, 2}}); err != nil {
-		t.Fatal(err)
+	narrow := [][2]uint64{{0, 2}, {2, 0}, {3, 4}}
+	wideBatch := [][2]uint64{{wide, 2}, {0, 2}}
+	type step struct {
+		pairs [][2]uint64
+		mux   bool // true: one mux frame; false: one JSON batch
 	}
-	if c.counters.framesBinary.Load() != 1 {
-		t.Fatalf("narrow batch after wide one did not go binary (binary=%d)", c.counters.framesBinary.Load())
+	for _, tc := range []struct {
+		name      string
+		replica   func() string
+		transport string
+		steps     []step
+	}{
+		{"mux advertised", func() string { return startMuxReplica(t, g, oracle, cfg) }, "mux",
+			[]step{{narrow, true}}},
+		// The wide batch goes as JSON for that batch only: the pool is
+		// kept and the next narrow batch rides mux again.
+		{"id above u32", func() string { return startMuxReplica(t, g, oracle, cfg) }, "mux",
+			[]step{{wideBatch, false}, {narrow, true}}},
+		{"no advertisement", func() string { return startReplica(t, g, oracle, cfg) }, "http",
+			[]step{{narrow, false}}},
+		// Mux trouble is a transport detail, not a health signal: the
+		// batch goes as JSON and the replica stays enrolled.
+		{"dead listener", func() string {
+			dc := cfg
+			dc.MuxAddr = deadAddr
+			return startReplica(t, g, oracle, dc)
+		}, "mux", []step{{narrow, false}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := tc.replica()
+			rt := newTestRouter(t, silentCfg(base))
+			if got := replicaStatsByBase(t, rt)[base].Transport; got != tc.transport {
+				t.Fatalf("transport %q, want %q", got, tc.transport)
+			}
+			for i, st := range tc.steps {
+				muxBefore, jsonBefore := rt.met.muxTraffic.FramesTx.Load(), rt.met.wire.framesJSON.Load()
+				res, err := rt.Batch(context.Background(), st.pairs)
+				if err != nil {
+					t.Fatalf("step %d: %v", i, err)
+				}
+				for j, p := range st.pairs {
+					if want := oracle.Reachable(dense(p[0]), dense(p[1])); res[j] != want {
+						t.Fatalf("step %d pair %d %v: got %v, want %v", i, j, p, res[j], want)
+					}
+				}
+				muxSent := rt.met.muxTraffic.FramesTx.Load() - muxBefore
+				jsonSent := rt.met.wire.framesJSON.Load() - jsonBefore
+				wantMux, wantJSON := int64(0), int64(1)
+				if st.mux {
+					wantMux, wantJSON = 1, 0
+				}
+				if muxSent != wantMux || jsonSent != wantJSON {
+					t.Fatalf("step %d sent %d mux frames and %d JSON batches, want %d and %d",
+						i, muxSent, jsonSent, wantMux, wantJSON)
+				}
+			}
+			if got := len(rt.healthy(nil)); got != 1 {
+				t.Fatalf("%d healthy replicas, want 1", got)
+			}
+		})
 	}
 }
 
-// TestClientBinaryErrorFrame: a binary-mode error (batch over the
-// replica's limit) comes back as a wireproto error frame and surfaces as
-// the same *StatusError the JSON path produces.
+// TestClientBinaryErrorFrame: a replica's in-band error frame surfaces
+// as the same *StatusError the JSON path produces, and — being the
+// replica's verdict, not a transport failure — is not retried as JSON.
 func TestClientBinaryErrorFrame(t *testing.T) {
-	g, oracle := realOracle(t)
-	base := startReplica(t, g, oracle, server.Config{MaxBatchPairs: 4})
-	c := NewClient(base, time.Second)
-	c.UseBinaryWire(true)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms := mux.NewServer(mux.ServerConfig{
+		Batch: func(context.Context, string, [][2]uint32, []bool) error {
+			return &mux.Fail{Status: 413, Msg: "batch of 10 pairs exceeds limit 4"}
+		},
+		Logf: func(string, ...any) {},
+	})
+	go ms.Serve(ln)
+	t.Cleanup(func() {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		ms.Shutdown(ctx)
+	})
+	// No HTTP side: a JSON retry would fail to connect, not answer 413.
+	c := NewClient("http://127.0.0.1:1", time.Second)
+	c.UseMux(ln.Addr().String(), "")
+	t.Cleanup(c.CloseIdleConnections)
 
-	pairs := make([][2]uint64, 10)
-	_, err := c.Batch(context.Background(), pairs)
+	_, err = c.Batch(context.Background(), make([][2]uint64, 10))
 	se, ok := err.(*StatusError)
 	if !ok {
-		t.Fatalf("over-limit binary batch returned %v, want *StatusError", err)
+		t.Fatalf("refused mux batch returned %v, want *StatusError", err)
 	}
-	if se.Status != 413 || se.Body == "" {
+	if se.Status != 413 || se.Body != "batch of 10 pairs exceeds limit 4" {
 		t.Fatalf("status error %+v, want 413 with the frame's in-band message", se)
+	}
+	if n := c.counters.framesJSON.Load(); n != 0 {
+		t.Fatalf("a replica verdict was retried as %d JSON batches", n)
 	}
 }

@@ -15,7 +15,7 @@
 //
 // The transport is strictly an optimization: every failure — dial
 // refused, handshake mismatch, connection death mid-batch — degrades to
-// the negotiated HTTP path, never to a wrong answer. Steady-state send
+// JSON over HTTP for that batch, never to a wrong answer. Steady-state send
 // and receive allocate nothing on either side (AllocsPerRun-pinned).
 package mux
 

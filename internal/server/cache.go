@@ -1,7 +1,5 @@
 package server
 
-import "sync"
-
 // Cache defaults; Config leaves them overridable per daemon.
 const (
 	// DefaultCacheShards is the shard count (rounded up to a power of
@@ -12,39 +10,6 @@ const (
 	// entry plus one ring slot per answer this is a few tens of MiB.
 	DefaultCacheCapacity = 1 << 20
 )
-
-// Cache admission policies selectable via Config.CachePolicy.
-const (
-	// PolicyS3FIFO is the default: a small probationary FIFO in front of
-	// a main FIFO with a ghost set remembering recent evictions, so
-	// one-hit wonders wash out of the small queue without displacing the
-	// hot working set. See s3fifo.go.
-	PolicyS3FIFO = "s3fifo"
-	// PolicyFIFO is the original single-queue FIFO, retained for
-	// comparison (BenchmarkCacheHitRateZipf sweeps both).
-	PolicyFIFO = "fifo"
-)
-
-// cache is what the server needs from a query cache; fifoCache and
-// s3fifoCache implement it. Both cache positive and negative answers:
-// the oracle is immutable, so entries never go stale and eviction exists
-// only to bound memory.
-type cache interface {
-	get(u, v uint32) (answer, ok bool)
-	put(u, v uint32, answer bool)
-	len() int
-	stats() CacheStats
-}
-
-// newCache builds the cache for the given policy; any policy other than
-// PolicyFIFO gets the S3-FIFO default (reachd validates the flag value,
-// so an unknown string here only arises from library misuse).
-func newCache(policy string, shards, capacity int) cache {
-	if policy == PolicyFIFO {
-		return newFIFOCache(shards, capacity)
-	}
-	return newS3FIFOCache(shards, capacity)
-}
 
 // shardLayout normalizes a (shards, capacity) request: the shard count
 // rounds up to a power of two, then shrinks while the capacity is
@@ -93,102 +58,10 @@ func shardIndex(k uint64, mask uint32) uint32 {
 	return uint32(k) & mask
 }
 
-// fifoCache is a sharded, fixed-capacity map from query pair to answer.
-// Shard selection hashes the packed pair so hot vertices spread across
-// shards; within a shard, eviction is FIFO via a ring of inserted keys.
-type fifoCache struct {
-	shards []fifoShard
-	mask   uint32
-}
-
-type fifoShard struct {
-	mu   sync.Mutex
-	m    map[uint64]bool
-	ring []uint64 // insertion order, for FIFO eviction
-	pos  int
-	cap  int
-	// hit/miss counters live per shard, inside the padded struct and
-	// bumped under the shard mutex, so the hot path never touches a
-	// cache line shared across shards.
-	hits, misses int64
-	// pad the shard to its own cache lines so neighboring locks don't
-	// false-share.
-	_ [64]byte
-}
-
-func newFIFOCache(shards, capacity int) *fifoCache {
-	pow, caps := shardLayout(shards, capacity)
-	c := &fifoCache{shards: make([]fifoShard, pow), mask: uint32(pow - 1)}
-	for i := range c.shards {
-		c.shards[i].cap = caps[i]
-		// Sized lazily for the same reason as s3fifoShard.m: a
-		// capacity-sized table keeps small working sets DRAM-sparse.
-		c.shards[i].m = make(map[uint64]bool)
-		c.shards[i].ring = make([]uint64, 0, caps[i])
-	}
-	return c
-}
-
-// get returns the cached answer for (u, v) and whether one was present,
-// bumping the shard's hit or miss counter.
-//
-//reach:hotpath
-func (c *fifoCache) get(u, v uint32) (answer, ok bool) {
-	k := pairKey(u, v)
-	sh := &c.shards[shardIndex(k, c.mask)]
-	sh.mu.Lock()
-	answer, ok = sh.m[k]
-	if ok {
-		sh.hits++
-	} else {
-		sh.misses++
-	}
-	sh.mu.Unlock()
-	return answer, ok
-}
-
-// put stores the answer for (u, v), evicting the shard's oldest entry
-// once the shard is full.
-func (c *fifoCache) put(u, v uint32, answer bool) {
-	k := pairKey(u, v)
-	sh := &c.shards[shardIndex(k, c.mask)]
-	sh.mu.Lock()
-	if _, exists := sh.m[k]; !exists {
-		// shardLayout guarantees cap >= 1, so the ring is never empty
-		// at replacement time.
-		if len(sh.ring) < sh.cap {
-			sh.ring = append(sh.ring, k)
-		} else {
-			delete(sh.m, sh.ring[sh.pos])
-			sh.ring[sh.pos] = k
-			sh.pos++
-			if sh.pos == sh.cap {
-				sh.pos = 0
-			}
-		}
-	}
-	sh.m[k] = answer
-	sh.mu.Unlock()
-}
-
-// len counts cached entries across all shards.
-func (c *fifoCache) len() int {
-	total := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		total += len(sh.m)
-		sh.mu.Unlock()
-	}
-	return total
-}
-
 // CacheStats is the cache section of /v1/stats. Small, Main and Ghost
 // report the S3-FIFO segment sizes; they are always present (zero is a
-// meaningful segment size on an idle server) and stay zero under the
-// FIFO policy.
+// meaningful segment size on an idle server).
 type CacheStats struct {
-	Policy   string  `json:"policy"`
 	Shards   int     `json:"shards"`
 	Capacity int     `json:"capacity"`
 	Entries  int     `json:"entries"`
@@ -198,21 +71,4 @@ type CacheStats struct {
 	Hits     int64   `json:"hits"`
 	Misses   int64   `json:"misses"`
 	HitRate  float64 `json:"hit_rate"`
-}
-
-func (c *fifoCache) stats() CacheStats {
-	s := CacheStats{Policy: PolicyFIFO, Shards: len(c.shards)}
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		s.Capacity += sh.cap
-		s.Entries += len(sh.m)
-		s.Hits += sh.hits
-		s.Misses += sh.misses
-		sh.mu.Unlock()
-	}
-	if total := s.Hits + s.Misses; total > 0 {
-		s.HitRate = float64(s.Hits) / float64(total)
-	}
-	return s
 }

@@ -6,17 +6,11 @@ import (
 	"testing"
 )
 
-// bothPolicies runs a subtest against each cache policy; the behaviors
-// under test (get/put, bounds, stats counters) are policy-independent.
-func bothPolicies(t *testing.T, f func(t *testing.T, policy string)) {
-	for _, policy := range []string{PolicyFIFO, PolicyS3FIFO} {
-		t.Run(policy, func(t *testing.T) { f(t, policy) })
-	}
-}
-
+// The basic cache tests run as "s3fifo" subtests, named for the
+// admission policy they exercise.
 func TestCacheGetPut(t *testing.T) {
-	bothPolicies(t, func(t *testing.T, policy string) {
-		c := newCache(policy, 4, 1024)
+	t.Run("s3fifo", func(t *testing.T) {
+		c := newS3FIFOCache(4, 1024)
 		if _, ok := c.get(1, 2); ok {
 			t.Fatal("empty cache reported a hit")
 		}
@@ -35,39 +29,35 @@ func TestCacheGetPut(t *testing.T) {
 		if st.HitRate < 0.66 || st.HitRate > 0.67 {
 			t.Fatalf("hit rate = %v, want 2/3", st.HitRate)
 		}
-		if st.Policy != policy {
-			t.Fatalf("stats report policy %q, want %q", st.Policy, policy)
-		}
 	})
 }
 
 func TestCacheOverwrite(t *testing.T) {
-	bothPolicies(t, func(t *testing.T, policy string) {
-		c := newCache(policy, 1, 8)
+	t.Run("s3fifo", func(t *testing.T) {
+		c := newS3FIFOCache(1, 8)
 		c.put(3, 4, false)
 		c.put(3, 4, true)
 		if ans, ok := c.get(3, 4); !ok || !ans {
 			t.Fatalf("overwrite lost: %v, %v", ans, ok)
 		}
-		if n := c.len(); n != 1 {
-			t.Fatalf("len = %d after overwrite, want 1", n)
+		if n := c.stats().Entries; n != 1 {
+			t.Fatalf("entries = %d after overwrite, want 1", n)
 		}
 	})
 }
 
 func TestCacheEvictionBoundsCapacity(t *testing.T) {
-	bothPolicies(t, func(t *testing.T, policy string) {
+	t.Run("s3fifo", func(t *testing.T) {
 		const capacity = 128
-		c := newCache(policy, 4, capacity)
+		c := newS3FIFOCache(4, capacity)
 		for i := uint32(0); i < 10*capacity; i++ {
 			c.put(i, i+1, i%2 == 0)
 		}
-		if n := c.len(); n > capacity {
+		if n := c.stats().Entries; n > capacity {
 			t.Fatalf("cache holds %d entries, capacity %d", n, capacity)
 		}
 		// A pure one-shot insert scan keeps the most recent insertions
-		// resident under both policies (FIFO by definition; S3-FIFO
-		// because nothing earns promotion, so small cycles FIFO-style).
+		// resident: nothing earns promotion, so small cycles FIFO-style.
 		last := uint32(10*capacity - 1)
 		if _, ok := c.get(last, last+1); !ok {
 			t.Error("most recent entry was evicted")
@@ -80,28 +70,28 @@ func TestCacheEvictionBoundsCapacity(t *testing.T) {
 // (capacity/shards*shards, the old bug: 100 across 64 shards bounded 64)
 // nor inflate, and stats must report the real bound.
 func TestCacheCapacityExact(t *testing.T) {
-	bothPolicies(t, func(t *testing.T, policy string) {
+	t.Run("s3fifo", func(t *testing.T) {
 		for _, tc := range []struct{ shards, capacity int }{
 			{64, 100}, {64, 1000}, {4, 7}, {8, 129}, {1, 3},
 		} {
-			c := newCache(policy, tc.shards, tc.capacity)
+			c := newS3FIFOCache(tc.shards, tc.capacity)
 			if got := c.stats().Capacity; got != tc.capacity {
-				t.Errorf("%s shards=%d capacity=%d: stats report capacity %d",
-					policy, tc.shards, tc.capacity, got)
+				t.Errorf("shards=%d capacity=%d: stats report capacity %d",
+					tc.shards, tc.capacity, got)
 			}
 			for i := uint32(0); i < uint32(20*tc.capacity); i++ {
 				c.put(i, i, true)
 			}
-			if n := c.len(); n > tc.capacity {
-				t.Errorf("%s shards=%d capacity=%d: holds %d entries",
-					policy, tc.shards, tc.capacity, n)
+			if n := c.stats().Entries; n > tc.capacity {
+				t.Errorf("shards=%d capacity=%d: holds %d entries",
+					tc.shards, tc.capacity, n)
 			}
 		}
 	})
 }
 
 func TestCacheShardRounding(t *testing.T) {
-	c := newCache(PolicyFIFO, 5, 100)
+	c := newS3FIFOCache(5, 100)
 	if st := c.stats(); st.Shards != 8 {
 		t.Fatalf("5 shards rounded to %d, want 8", st.Shards)
 	}
@@ -110,14 +100,14 @@ func TestCacheShardRounding(t *testing.T) {
 	}
 	// A capacity below the shard count shrinks the shard count; the
 	// configured bound is an upper bound, never inflated.
-	small := newCache(PolicyS3FIFO, 64, 10)
+	small := newS3FIFOCache(64, 10)
 	if got := small.stats().Capacity; got != 10 {
 		t.Fatalf("capacity 10 with 64 shards yields %d, want 10", got)
 	}
 	for i := uint32(0); i < 100; i++ {
 		small.put(i, i, true)
 	}
-	if n := small.len(); n > 10 {
+	if n := small.stats().Entries; n > 10 {
 		t.Fatalf("small cache holds %d entries, bound 10", n)
 	}
 }
@@ -193,36 +183,35 @@ func TestS3FIFOGhostSequenceProtectsFreshMemory(t *testing.T) {
 	}
 }
 
-// TestZipfS3FIFOBeatsFIFO is the hit-rate regression gate: on the same
-// Zipfian trace at the same capacity, the S3-FIFO policy must meet or
-// beat plain FIFO. BenchmarkCacheHitRateZipf reports the absolute
-// numbers; this test keeps the ordering from silently regressing.
+// TestZipfS3FIFOBeatsFIFO is the hit-rate regression gate: on a seeded
+// Zipfian trace, the cache must hit at least as often as a plain
+// single-queue FIFO of equal capacity did on the same trace (0.7508;
+// S3-FIFO measured 0.8092). BenchmarkCacheHitRateZipf reports the
+// absolute numbers; this floor keeps the admission policy from silently
+// regressing to FIFO or below.
 func TestZipfS3FIFOBeatsFIFO(t *testing.T) {
 	const (
 		universe = 1 << 14
 		capacity = universe / 8
 		queries  = 1 << 17
+		fifoRate = 0.7508
 	)
-	trace := zipfPairs(1<<30, universe, queries, 1.07, 41)
-	rate := func(c cache) float64 {
-		for _, p := range trace {
-			if _, ok := c.get(p[0], p[1]); !ok {
-				c.put(p[0], p[1], p[0] < p[1])
-			}
+	c := newS3FIFOCache(DefaultCacheShards, capacity)
+	for _, p := range zipfPairs(1<<30, universe, queries, 1.07, 41) {
+		if _, ok := c.get(p[0], p[1]); !ok {
+			c.put(p[0], p[1], p[0] < p[1])
 		}
-		return c.stats().HitRate
 	}
-	fifo := rate(newFIFOCache(DefaultCacheShards, capacity))
-	s3 := rate(newS3FIFOCache(DefaultCacheShards, capacity))
-	t.Logf("zipf s=1.07 universe=%d capacity=%d: fifo=%.4f s3fifo=%.4f", universe, capacity, fifo, s3)
-	if s3 < fifo {
-		t.Fatalf("s3fifo hit rate %.4f below fifo baseline %.4f at equal capacity", s3, fifo)
+	rate := c.stats().HitRate
+	t.Logf("zipf s=1.07 universe=%d capacity=%d: s3fifo=%.4f (fifo floor %.4f)", universe, capacity, rate, fifoRate)
+	if rate < fifoRate {
+		t.Fatalf("s3fifo hit rate %.4f below the fifo floor %.4f at equal capacity", rate, fifoRate)
 	}
 }
 
 func TestCacheConcurrent(t *testing.T) {
-	bothPolicies(t, func(t *testing.T, policy string) {
-		c := newCache(policy, 64, 1<<12)
+	t.Run("s3fifo", func(t *testing.T) {
+		c := newS3FIFOCache(64, 1<<12)
 		var wg sync.WaitGroup
 		for w := 0; w < 8; w++ {
 			wg.Add(1)
@@ -250,11 +239,11 @@ func TestCacheConcurrent(t *testing.T) {
 }
 
 // TestCacheGetZeroAlloc pins the //reach:hotpath contract reachlint
-// enforces statically: the shard lookup — hit or miss, either policy —
-// must not allocate.
+// enforces statically: the shard lookup — hit or miss — must not
+// allocate.
 func TestCacheGetZeroAlloc(t *testing.T) {
-	bothPolicies(t, func(t *testing.T, policy string) {
-		c := newCache(policy, 4, 1024)
+	t.Run("s3fifo", func(t *testing.T) {
+		c := newS3FIFOCache(4, 1024)
 		c.put(1, 2, true)
 		c.put(3, 4, false)
 		allocs := testing.AllocsPerRun(1000, func() {

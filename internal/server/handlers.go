@@ -145,10 +145,6 @@ func (s *Server) guard(h http.HandlerFunc) http.HandlerFunc {
 				// server is badly oversubscribed.
 				w.Header().Set("Retry-After", "1")
 				msg := fmt.Sprintf("server at max in-flight requests (%d); retry later", s.cfg.MaxInFlight)
-				if isBinaryBatch(r) {
-					s.writeErrorFrame(w, http.StatusTooManyRequests, msg)
-					return
-				}
 				s.writeJSON(w, http.StatusTooManyRequests, ErrorResponse{Error: msg})
 				return
 			}
@@ -218,19 +214,6 @@ func (s *Server) failUnknownVertex(w http.ResponseWriter, bad uint64) {
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	bi := obs.BuildInfo()
-	// Wire advertises the batch encodings this replica accepts; routers
-	// read it once at enrollment. With the binary path disabled the field
-	// is omitted entirely, which is exactly what a pre-binary replica
-	// sends — one "JSON only" signal, not two.
-	var wire []string
-	var muxAddr string
-	if !s.cfg.DisableBinaryWire {
-		wire = []string{"json", "binary"}
-		// The mux transport carries the same binary frames, so disabling
-		// the binary wire hides the mux listener too: a router must never
-		// negotiate a transport the replica would refuse to decode.
-		muxAddr = s.cfg.MuxAddr
-	}
 	s.writeJSON(w, http.StatusOK, HealthzResponse{
 		Status:        "ok",
 		Method:        s.oracle.Method(),
@@ -240,8 +223,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		GoVersion:     bi.GoVersion,
 		Revision:      bi.Revision,
 		UptimeSeconds: time.Since(s.met.start).Seconds(),
-		Wire:          wire,
-		Mux:           muxAddr,
+		Mux:           s.cfg.MuxAddr,
 	})
 }
 
@@ -287,14 +269,9 @@ func (s *Server) handleReachable(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if isBinaryBatch(r) {
-		s.handleBatchBinary(w, r)
-		return
-	}
 	s.met.wireFramesJSON.Add(1)
-	// Count JSON batch traffic the same way the binary path does, so the
-	// reach_wire_bytes_total series compare like for like: rx is body
-	// bytes actually read, tx is response-body bytes written.
+	// reach_wire_bytes_total counts batch traffic: rx is body bytes
+	// actually read, tx is response-body bytes written.
 	origW := w
 	cw := &countingResponseWriter{ResponseWriter: w}
 	w = cw

@@ -24,15 +24,12 @@ type metrics struct {
 	rejected      atomic.Int64 // 429s from the max-in-flight gate (not in errors)
 	timedOut      atomic.Int64 // requests abandoned at their deadline (also in errors)
 
-	// Wire-level batch traffic accounting, split by encoding so a -wire
-	// ablation (or a mixed fleet) shows up directly in /metrics. rx is
-	// request-body bytes read, tx response-body bytes written.
-	wireFramesJSON   atomic.Int64
-	wireFramesBinary atomic.Int64
-	wireRxJSON       atomic.Int64
-	wireTxJSON       atomic.Int64
-	wireRxBinary     atomic.Int64
-	wireTxBinary     atomic.Int64
+	// JSON batch traffic on /v1/batch (the mux path has its own
+	// reach_mux_* series). rx is request-body bytes read, tx
+	// response-body bytes written.
+	wireFramesJSON atomic.Int64
+	wireRxJSON     atomic.Int64
+	wireTxJSON     atomic.Int64
 
 	reg *obs.Registry
 	// Request-level histograms, one per query endpoint. reqMux is the
@@ -79,16 +76,10 @@ func newMetrics() *metrics {
 	m.reg.CounterFunc("reach_timed_out_total", "Requests abandoned at their deadline.", nil, m.timedOut.Load)
 	m.reg.CounterFunc("reach_wire_frames_total", "Batch frames handled on /v1/batch, by encoding.",
 		obs.Labels{"encoding": "json"}, m.wireFramesJSON.Load)
-	m.reg.CounterFunc("reach_wire_frames_total", "Batch frames handled on /v1/batch, by encoding.",
-		obs.Labels{"encoding": "binary"}, m.wireFramesBinary.Load)
 	m.reg.CounterFunc("reach_wire_bytes_total", "Batch body bytes on /v1/batch, by direction (rx = requests read, tx = responses written) and encoding.",
 		obs.Labels{"direction": "rx", "encoding": "json"}, m.wireRxJSON.Load)
 	m.reg.CounterFunc("reach_wire_bytes_total", "Batch body bytes on /v1/batch, by direction (rx = requests read, tx = responses written) and encoding.",
 		obs.Labels{"direction": "tx", "encoding": "json"}, m.wireTxJSON.Load)
-	m.reg.CounterFunc("reach_wire_bytes_total", "Batch body bytes on /v1/batch, by direction (rx = requests read, tx = responses written) and encoding.",
-		obs.Labels{"direction": "rx", "encoding": "binary"}, m.wireRxBinary.Load)
-	m.reg.CounterFunc("reach_wire_bytes_total", "Batch body bytes on /v1/batch, by direction (rx = requests read, tx = responses written) and encoding.",
-		obs.Labels{"direction": "tx", "encoding": "binary"}, m.wireTxBinary.Load)
 	// m.slow is assigned after newMetrics returns; the closure (unlike a
 	// method value) picks up the final pointer at scrape time.
 	m.reg.CounterFunc("reach_slow_queries_total", "Requests recorded in the slow-query log.", nil,

@@ -7,8 +7,8 @@ package server
 // pipelining and connection state; this file supplies the batch
 // semantics behind it and keeps the serving counters, histograms and
 // slow-query log identical across transports, so /metrics reads the
-// same whichever path a router negotiated. docs/WIRE.md ("Stream
-// transport") is the normative protocol spec.
+// same whichever path a router chose. docs/WIRE.md ("Stream transport")
+// is the normative protocol spec.
 
 import (
 	"context"
@@ -44,10 +44,10 @@ func (s *Server) NewMuxServer(logf func(string, ...any)) *mux.Server {
 // allocation-free end to end.
 var muxTracePool = sync.Pool{New: func() any { return new(queryTrace) }}
 
-// muxBatch is the mux.BatchFunc behind the stream transport — the
-// transport-independent core of handleBatchBinary. Failures return
-// *mux.Fail with the HTTP status the equivalent HTTP request would have
-// gotten, so router-side error handling is transport-agnostic.
+// muxBatch is the mux.BatchFunc behind the stream transport. Failures
+// return *mux.Fail with the HTTP status the equivalent JSON request
+// would have gotten, so router-side error handling is
+// transport-agnostic.
 func (s *Server) muxBatch(ctx context.Context, trace string, pairs [][2]uint32, out []bool) error {
 	// Admission control first, exactly like the HTTP guard: a saturated
 	// server answers in microseconds instead of queueing frames. 429s
@@ -75,9 +75,9 @@ func (s *Server) muxBatch(ctx context.Context, trace string, pairs [][2]uint32, 
 	defer muxTracePool.Put(tr)
 
 	s.met.batchRequests.Add(1)
-	// Resolve in place, like the binary HTTP path: stream-transport IDs
-	// are uint32 by construction (routers with wider IDs fall back to
-	// JSON over HTTP), unknown IDs answer false.
+	// Resolve in place: stream-transport IDs are uint32 by construction
+	// (routers send batches with wider IDs as JSON over HTTP), unknown
+	// IDs answer false.
 	t0 := time.Now()
 	for i := range pairs {
 		du, _ := s.resolve(uint64(pairs[i][0]))

@@ -2,11 +2,14 @@ package server
 
 import "sync"
 
-// s3fifoCache is the S3-FIFO admission cache (Yang et al., "FIFO queues
-// are all you need for cache eviction", SOSP 2023), sharded exactly like
-// fifoCache. Each shard splits its capacity into a small probationary
-// FIFO (~10%) and a main FIFO (~90%), plus a ghost set that remembers
-// keys recently evicted from the small queue:
+// s3fifoCache is the server's query cache: the S3-FIFO admission policy
+// (Yang et al., "FIFO queues are all you need for cache eviction", SOSP
+// 2023) over shards picked by hashing the packed pair, so hot vertices
+// spread across shard locks. It caches positive and negative answers
+// alike: the oracle is immutable, so entries never go stale and
+// eviction exists only to bound memory. Each shard splits its capacity
+// into a small probationary FIFO (~10%) and a main FIFO (~90%), plus a
+// ghost set that remembers keys recently evicted from the small queue:
 //
 //   - a new key enters the small queue — unless the ghost set remembers
 //     it, in which case it goes straight to main (its quick return is
@@ -18,7 +21,7 @@ import "sync"
 //     (reinsert with the counter decremented) before dropping them.
 //
 // All state is per shard under the shard mutex; the hot path cost over
-// plain FIFO is one uint8 frequency bump.
+// a plain FIFO is one uint8 frequency bump.
 type s3fifoCache struct {
 	shards []s3fifoShard
 	mask   uint32
@@ -229,19 +232,8 @@ func (sh *s3fifoShard) ghostAdd(k uint64) {
 	sh.ghost[k] = sh.ghostSeq
 }
 
-func (c *s3fifoCache) len() int {
-	total := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		total += len(sh.m)
-		sh.mu.Unlock()
-	}
-	return total
-}
-
 func (c *s3fifoCache) stats() CacheStats {
-	s := CacheStats{Policy: PolicyS3FIFO, Shards: len(c.shards)}
+	s := CacheStats{Shards: len(c.shards)}
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()

@@ -1,7 +1,8 @@
 // Package server is the reachd query-serving core: it wraps an immutable
 // reach.Oracle with a sharded positive/negative query cache and a worker
 // pool for batch execution, and exposes both over a small HTTP/JSON API
-// (/v1/reachable, /v1/batch, /v1/stats, /v1/healthz).
+// (/v1/reachable, /v1/batch, /v1/stats, /v1/healthz) and, for fleet
+// routers, batches over the mux stream transport (NewMuxServer).
 //
 // The layering mirrors O'Reach's observation that cheap caching/filter
 // frontends multiply the real-world throughput of a microsecond-query
@@ -29,9 +30,6 @@ import (
 type Config struct {
 	// Workers sizes the batch worker pool (default GOMAXPROCS).
 	Workers int
-	// CachePolicy selects the cache admission policy: PolicyS3FIFO
-	// (default) or PolicyFIFO.
-	CachePolicy string
 	// CacheShards is the cache shard count (default 64).
 	CacheShards int
 	// CacheCapacity bounds total cached answers (default 1<<20).
@@ -71,19 +69,12 @@ type Config struct {
 	// Handler mux. Off by default: profiling endpoints are an
 	// operational tool, not part of the query API.
 	EnablePprof bool
-	// DisableBinaryWire turns off the binary batch protocol on
-	// /v1/batch: binary frames are answered with 415, and /v1/healthz
-	// stops advertising the "wire" capability (making the replica
-	// indistinguishable from a pre-binary one, so routers send it JSON).
-	// Operational escape hatch — see docs/WIRE.md.
-	DisableBinaryWire bool
 	// MuxAddr is the host:port the replica's mux listener (the raw-TCP
 	// stream transport, internal/mux) is bound to; /v1/healthz advertises
-	// it so routers can upgrade from HTTP. Empty means no mux listener.
-	// reachd binds the listener first and passes the resolved address, so
-	// what healthz advertises is always dialable. Ignored (not
-	// advertised) with DisableBinaryWire: the stream transport carries
-	// the same binary frames.
+	// it so routers send batches over it instead of JSON over HTTP. Empty
+	// means no mux listener. reachd binds the listener first and passes
+	// the resolved address, so what healthz advertises is always
+	// dialable.
 	MuxAddr string
 }
 
@@ -96,9 +87,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBatchPairs <= 0 {
 		c.MaxBatchPairs = 1 << 20
-	}
-	if c.CachePolicy == "" {
-		c.CachePolicy = PolicyS3FIFO
 	}
 	if c.SlowQueryThreshold > 0 && c.SlowQueryWriter == nil {
 		c.SlowQueryWriter = os.Stderr
@@ -123,7 +111,7 @@ const DefaultGateTimeout = 30 * time.Second
 type Server struct {
 	g      *reach.Graph
 	oracle *reach.Oracle
-	cache  cache // nil when disabled
+	cache  *s3fifoCache // nil when disabled
 	met    *metrics
 	cfg    Config
 
@@ -164,7 +152,7 @@ func New(g *reach.Graph, oracle *reach.Oracle, cfg Config) *Server {
 	}
 	s.met.slow = obs.NewSlowLog(cfg.SlowQueryWriter, cfg.SlowQueryThreshold)
 	if cfg.CacheCapacity >= 0 {
-		s.cache = newCache(cfg.CachePolicy, cfg.CacheShards, cfg.CacheCapacity)
+		s.cache = newS3FIFOCache(cfg.CacheShards, cfg.CacheCapacity)
 	}
 	if cfg.MaxInFlight > 0 {
 		s.gate = make(chan struct{}, cfg.MaxInFlight)
@@ -354,9 +342,9 @@ func (s *Server) reachableBatch(ctx context.Context, pairs [][2]uint32, tr *quer
 }
 
 // reachableBatchInto is reachableBatch filling a caller-provided result
-// slice (len(out) must equal len(pairs)) — the binary wire path reuses
-// pooled buffers across requests, so the allocation is the caller's
-// choice, not this function's.
+// slice (len(out) must equal len(pairs)) — the mux path reuses pooled
+// buffers across requests, so the allocation is the caller's choice,
+// not this function's.
 func (s *Server) reachableBatchInto(ctx context.Context, pairs [][2]uint32, out []bool, tr *queryTrace) error {
 	if err := ctx.Err(); err != nil {
 		return err

@@ -13,6 +13,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -323,6 +324,32 @@ func TestUnknownVertexPairsNotCached(t *testing.T) {
 	}
 	if q := s.Stats().Server.Queries; q != int64(len(pairs)) {
 		t.Fatalf("queries counter = %d, want %d", q, len(pairs))
+	}
+}
+
+// TestWireMetrics: a JSON batch bumps the reach_wire_* frame and byte
+// counters on /metrics.
+func TestWireMetrics(t *testing.T) {
+	_, _, ts := fixture(t, Config{})
+	if resp, _ := postBatch(t, ts.URL, [][2]uint64{{1, 2}}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch status %d", resp.StatusCode)
+	}
+	mresp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mresp.Body.Close()
+	page, _ := io.ReadAll(mresp.Body)
+	for _, want := range []string{
+		`reach_wire_frames_total{encoding="json"} 1`,
+		`reach_wire_bytes_total{direction="rx",encoding="json"} 17`, // {"pairs":[[1,2]]}
+		// The tx byte count depends on encoding details; just demand
+		// the series exists.
+		`reach_wire_bytes_total{direction="tx",encoding="json"}`,
+	} {
+		if !strings.Contains(string(page), want) {
+			t.Errorf("/metrics missing %q", want)
+		}
 	}
 }
 

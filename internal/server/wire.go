@@ -28,16 +28,11 @@ type HealthzResponse struct {
 	GoVersion     string  `json:"go_version,omitempty"`
 	Revision      string  `json:"revision,omitempty"`
 	UptimeSeconds float64 `json:"uptime_seconds,omitempty"`
-	// Wire lists the batch encodings this replica accepts on /v1/batch
-	// ("json", "binary"). Routers read it once at enrollment to decide
-	// the scatter encoding; absent (pre-binary replicas, or -wire=json)
-	// means JSON only. See docs/WIRE.md.
-	Wire []string `json:"wire,omitempty"`
 	// Mux is the host:port of this replica's raw-TCP stream-transport
-	// listener (docs/WIRE.md, "Stream transport"). Routers that speak the
-	// mux protocol dial it and pipeline batches over a few persistent
-	// connections instead of one HTTP request per batch. Absent means
-	// HTTP only.
+	// listener (docs/WIRE.md, "Stream transport"). Routers dial it and
+	// pipeline batches as binary frames over a few persistent
+	// connections instead of one JSON request per batch. Absent means
+	// JSON over HTTP only.
 	Mux string `json:"mux,omitempty"`
 }
 

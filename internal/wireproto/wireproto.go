@@ -1,5 +1,6 @@
 // Package wireproto is the binary batch protocol spoken between the
-// fleet router and reachd replicas on /v1/batch: length-prefixed frames
+// fleet router and reachd replicas over the mux stream transport
+// (internal/mux): length-prefixed frames
 // of fixed-width little-endian integers — the blockio snapshot idiom
 // applied to the wire. A 512-pair request is 4108 bytes instead of
 // ~7 KB of JSON, and neither side allocates to encode or decode it.
@@ -22,12 +23,6 @@ import (
 	"encoding/binary"
 	"errors"
 )
-
-// ContentType is the negotiated media type of binary batch frames on
-// POST /v1/batch. Requests carrying any other Content-Type take the
-// JSON path; replicas that do not speak the protocol answer it with
-// 415, which clients treat as "fall back to JSON".
-const ContentType = "application/x-reach-batch"
 
 // Frame geometry. All integers on the wire are little-endian.
 const (
